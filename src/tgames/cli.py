@@ -119,7 +119,7 @@ def _cmd_product(args, report) -> int:
     ttext = _read(args.env)
     report.add_input(args.env, ttext)
     t = parse_transducer(ttext)
-    prod = build_product(g, t, full=args.full)
+    prod = build_product(g, t)
     _write(args.output, serialize_game(prod.graph))
     if args.lassos:
         win, lassos = p2_winning_positions(prod)
@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="games against bounded finite-state environments",
     )
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     parser.add_argument("--cap", type=int, default=10_000_000, help="resource cap")
     parser.add_argument("--json-report", metavar="PATH", help="write a JSON run report")
     parser.add_argument(
@@ -303,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="restrict player 1 to a machine")
     p.add_argument("game")
     p.add_argument("--env", required=True, help="transducer file")
-    p.add_argument("--full", action="store_true", help="materialize all positions")
     p.add_argument("--lassos", help="also write witness lassos (path or -)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_product)

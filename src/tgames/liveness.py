@@ -45,7 +45,6 @@ class LivenessWitness:
 @dataclass
 class LivenessStats:
     transducers_examined: int = 0
-    products_solved: int = 0
     wall_time: float = 0.0
 
 
@@ -158,7 +157,6 @@ def check_k_live(
         stream = dedupe_behavioral(stream)
     for t in stream:
         stats.transducers_examined += 1
-        stats.products_solved += 1
         w = _scan_machine(g, t)
         if w is not None:
             stats.wall_time = time.perf_counter() - started
@@ -184,7 +182,6 @@ def _check_parallel(g, k, total, jobs, deterministic, stats) -> LivenessVerdict:
                 i = pending.pop(fut)
                 results[i] = fut.result()
                 stats.transducers_examined += ranges[i][1] - ranges[i][0]
-                stats.products_solved += ranges[i][1] - ranges[i][0]
                 if results[i] is not None:
                     cand = results[i]
                     if found is None or cand[0] < found[0]:

@@ -16,7 +16,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .graphs import GameError, GameGraph, Lasso, Word, make_game
+from .graphs import GameError, GameGraph, Lasso, Vertex, Word
+from .graphs import make_game  # noqa: F401  -- unused here; bench/tracing.py wraps it
 from .solvers import solve_one_player
 from .transducers import Transducer, agrees, run
 
@@ -34,13 +35,10 @@ class ProductGame:
     of_vertex: dict[int, Position]  # inverse, excluding the top pair
     top: tuple[int, int]  # graph ids of the paradise pair (owner 1, owner 2)
     initial: Position
-    order: tuple[Position, ...]  # breadth-first discovery order from initial
+    order: tuple[Position, ...]  # reachable positions, in id order
     _solution: Optional[tuple[frozenset[int], dict[int, Lasso]]] = field(
         default=None, repr=False
     )
-
-    def vertex_of(self, pos: Position) -> int:
-        return self.positions[pos]
 
     def policy_view(self) -> GameGraph:
         """Copy of the arena keeping only the machine's action at player-1
@@ -72,110 +70,73 @@ class ProductGame:
         return self._solution
 
 
-def build_product(g: GameGraph, t: Transducer, full: bool = False) -> ProductGame:
-    """Pair `g` with machine `t`.  By default only positions reachable from
-    (initial vertex, initial state) are materialized; `full` forces all of
-    them."""
+def build_product(g: GameGraph, t: Transducer) -> ProductGame:
+    """Pair `g` with machine `t`.  Only positions reachable from (initial
+    vertex, initial state) are materialized, numbered in breadth-first
+    discovery order; the deviation paradise takes the last two ids."""
     if tuple(t.outputs) != g.alphabet1 or tuple(t.inputs) != g.alphabet2:
         raise GameError("machine alphabets do not match the arena")
     if not g.is_total():
         raise GameError("build_product requires a total arena (run complete first)")
 
     start: Position = (g.initial, t.initial)
-    known: dict[Position, None] = {}
+    positions: dict[Position, int] = {start: 0}
+    order: list[Position] = [start]
+    edges: dict[tuple[int, str], int] = {}
+    off_policy: list[tuple[int, str]] = []  # targets the paradise, id not yet known
 
-    def expand(pos: Position):
-        u, m = pos
-        if g.vertices[u].owner == 1:
-            on = t.labels[m]
-            yield (g.edges[(u, on)], m)
-        else:
-            for b in g.alphabet2:
-                yield (g.edges[(u, b)], t.step(m, b))
+    def vid(pos: Position) -> int:
+        if pos not in positions:
+            positions[pos] = len(order)
+            order.append(pos)
+        return positions[pos]
 
-    if full:
-        for v in g.vertices:
-            for m in range(t.k):
-                known[(v.id, m)] = None
-        if start not in known:
-            known[start] = None
-    else:
-        queue = deque([start])
-        known[start] = None
-        while queue:
-            pos = queue.popleft()
-            for nxt in expand(pos):
-                if nxt not in known:
-                    known[nxt] = None
-                    queue.append(nxt)
-
-    order = tuple(known)
-    names: list[tuple[str, int, int]] = []
-    for u, m in order:
-        v = g.vertices[u]
-        names.append((f"({v.name},{m})", v.owner, v.color))
-    names.append((TOP_NAMES[0], 1, 2))
-    names.append((TOP_NAMES[1], 2, 2))
-
-    index = {pos: i for i, pos in enumerate(order)}
-    top_a, top_b = len(order), len(order) + 1
-    edges: list[tuple[str, str, str]] = []
-
-    def name_of(i: int) -> str:
-        return names[i][0]
-
-    for pos in order:
-        u, m = pos
-        src = name_of(index[pos])
+    i = 0
+    while i < len(order):
+        u, m = order[i]
         if g.vertices[u].owner == 1:
             on = t.labels[m]
             for a in g.alphabet1:
                 if a == on:
-                    tgt = (g.edges[(u, a)], m)
-                    edges.append((src, a, name_of(index[tgt])))
+                    edges[(i, a)] = vid((g.edges[(u, a)], m))
                 else:
-                    edges.append((src, a, name_of(top_b)))
+                    off_policy.append((i, a))
         else:
             for b in g.alphabet2:
-                tgt = (g.edges[(u, b)], t.step(m, b))
-                edges.append((src, b, name_of(index[tgt])))
-    for a in g.alphabet1:
-        edges.append((TOP_NAMES[0], a, TOP_NAMES[1]))
-    for b in g.alphabet2:
-        edges.append((TOP_NAMES[1], b, TOP_NAMES[0]))
+                edges[(i, b)] = vid((g.edges[(u, b)], t.step(m, b)))
+        i += 1
 
-    graph = make_game(
-        g.objective, g.alphabet1, g.alphabet2, names, edges, name_of(index[start])
-    )
-    positions = {pos: index[pos] for pos in order}
-    of_vertex = {i: pos for pos, i in positions.items()}
+    top_a, top_b = len(order), len(order) + 1
+    for key in off_policy:
+        edges[key] = top_b
+    for a in g.alphabet1:
+        edges[(top_a, a)] = top_b
+    for b in g.alphabet2:
+        edges[(top_b, b)] = top_a
+    vertices = []
+    for i, (u, m) in enumerate(order):
+        v = g.vertices[u]
+        vertices.append(Vertex(i, f"({v.name},{m})", v.owner, v.color))
+    vertices.append(Vertex(top_a, TOP_NAMES[0], 1, 2))
+    vertices.append(Vertex(top_b, TOP_NAMES[1], 2, 2))
     return ProductGame(
         base=g,
         transducer=t,
-        graph=graph,
+        graph=GameGraph(
+            g.objective, g.alphabet1, g.alphabet2, tuple(vertices), edges, 0
+        ),
         positions=positions,
-        of_vertex=of_vertex,
+        of_vertex=dict(enumerate(order)),
         top=(top_a, top_b),
         initial=start,
-        order=order,
+        order=tuple(order),
     )
 
 
 def reachable_positions(p: ProductGame) -> tuple[Position, ...]:
     """Positions reachable from the initial one, in breadth-first order.
     The deviation paradise is not listed (it is not a game/state pair)."""
-    seen = {p.graph.initial}
-    order = []
-    queue = deque([p.graph.initial])
-    while queue:
-        vid = queue.popleft()
-        if vid in p.of_vertex:
-            order.append(p.of_vertex[vid])
-        for _a, tgt in p.graph.successors(vid):
-            if tgt not in seen:
-                seen.add(tgt)
-                queue.append(tgt)
-    return tuple(order)
+    return p.order
 
 
 def p2_winning_positions(

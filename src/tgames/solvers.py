@@ -2,9 +2,8 @@
 
 `solve_parity` runs the classical recursive (Zielonka) algorithm and returns
 positional strategies together with the two regions.  Büchi games are parity
-games over colors {1, 2}; reachability games are first rewritten so that
-every color-2 vertex drains into an absorbing even-colored pair, which
-preserves the winner from every original vertex.
+games over colors {1, 2}; a reachability game is won by player 2 exactly on
+its attractor to the color-2 vertices.
 
 `solve_one_player` handles arenas in which player 1 has exactly one outgoing
 edge per vertex (a deterministic environment), in polynomial time, and
@@ -17,16 +16,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import (
-    BUCHI,
-    GameError,
-    GameGraph,
-    Lasso,
-    PARITY,
-    P2_PARADISE,
-    REACHABILITY,
-    make_game,
-)
+from .graphs import GameError, GameGraph, Lasso, REACHABILITY
 
 
 @dataclass
@@ -124,62 +114,35 @@ def _zielonka(g: GameGraph, preds, region: set[int]):
     return my_region, opp_region, my_strat, opp_strat
 
 
-_ENCODED_SUFFIX = "~reach"
-
-
-def _reach_to_parity(g: GameGraph) -> GameGraph:
-    """Make color-2 vertices absorbing into a fresh even pair."""
-    pa, pb = P2_PARADISE[0] + _ENCODED_SUFFIX, P2_PARADISE[1] + _ENCODED_SUFFIX
-    names = [(v.name, v.owner, v.color) for v in g.vertices]
-    names += [(pa, 1, 2), (pb, 2, 2)]
-    edges = []
-    for v in g.vertices:
-        sink = pb if v.owner == 1 else pa
-        for a in g.acting_alphabet(v.id):
-            if v.color == 2:
-                edges.append((v.name, a, sink))
-            else:
-                tgt = g.edges.get((v.id, a))
-                if tgt is None:
-                    raise GameError("solve_parity requires a total arena")
-                edges.append((v.name, a, g.vertices[tgt].name))
-    for a in g.alphabet1:
-        edges.append((pa, a, pb))
-    for b in g.alphabet2:
-        edges.append((pb, b, pa))
-    return make_game(
-        PARITY, g.alphabet1, g.alphabet2, names, edges, g.vertices[g.initial].name
-    )
-
-
 def solve_parity(g: GameGraph) -> ParitySolution:
     """Regions and positional strategies for both players on a total arena."""
     if not g.is_total():
         raise GameError("solve_parity requires a total arena")
-    work = g if g.objective in (PARITY, BUCHI) else _reach_to_parity(g)
-    preds = _predecessors(work)
+    preds = _predecessors(g)
+    everything = set(range(g.n))
+    if g.objective == REACHABILITY:
+        targets = {v.id for v in g.vertices if v.color == 2}
+        w2, s2 = _attractor(g, preds, everything, targets, 2)
+        # a play at a target is already won; any action is as good as any other
+        for vid in targets:
+            if g.vertices[vid].owner == 2:
+                s2[vid] = g.alphabet2[0]
+        w1 = everything - w2
+        s1 = {
+            vid: _first_action_within(g, vid, w1)
+            for vid in w1
+            if g.vertices[vid].owner == 1
+        }
+        return ParitySolution(frozenset(w1), frozenset(w2), s1, s2)
     limit = sys.getrecursionlimit()
-    need = 4 * work.n + 100
+    need = 4 * g.n + 100
     if need > limit:
         sys.setrecursionlimit(need)
     try:
-        w1, w2, s1, s2 = _zielonka(work, preds, {v.id for v in work.vertices})
+        w1, w2, s1, s2 = _zielonka(g, preds, everything)
     finally:
         if need > limit:
             sys.setrecursionlimit(limit)
-    if work is not g:
-        # restrict to the original vertex set; color-2 vertices are won by
-        # player 2 by definition, and any action is as good as any other there
-        keep = range(g.n)
-        w1 = {vid for vid in w1 if vid < g.n}
-        w2 = {vid for vid in w2 if vid < g.n}
-        s1 = {vid: a for vid, a in s1.items() if vid < g.n}
-        s2 = {vid: a for vid, a in s2.items() if vid < g.n}
-        for vid in w2:
-            v = g.vertices[vid]
-            if v.owner == 2 and vid not in s2:
-                s2[vid] = g.acting_alphabet(vid)[0]
-        del keep
     return ParitySolution(frozenset(w1), frozenset(w2), s1, s2)
 
 

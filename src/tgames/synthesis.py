@@ -237,7 +237,6 @@ class AdaptiveController:
         # shared caches are partitioned by mode
         cache = shared_cache if shared_cache is not None else {}
         self._products: dict = cache.setdefault(("products", dedupe), {})
-        self._reach: dict = cache.setdefault(("reach", dedupe), {})
 
     # -- product plumbing ---------------------------------------------------
 
@@ -246,19 +245,13 @@ class AdaptiveController:
             self._products[ordinal] = build_product(self.game, self.machines[ordinal])
         return self._products[ordinal]
 
-    def _reachable(self, ordinal: int) -> frozenset[tuple[int, int]]:
-        if ordinal not in self._reach:
-            self._reach[ordinal] = frozenset(reachable_positions(self._product(ordinal)))
-        return self._reach[ordinal]
-
     # -- hypothesis management ----------------------------------------------
 
     def _scan(self) -> bool:
         """Find the next machine with some (current vertex, m) reachable;
         initialize its candidate set.  False when a full wrap found none."""
         for _ in range(len(self.machines)):
-            o = self.ordinal
-            reach = self._reachable(o)
+            reach = reachable_positions(self._product(self.ordinal))
             ms = sorted(m for (v, m) in reach if v == self.vertex)
             if ms:
                 self.candidates = ms

@@ -16,7 +16,10 @@ from tgames import (
     from_ordinal,
     make_game,
     p2_winning_positions,
+    parse_game,
     reachable_positions,
+    serialize_game,
+    validate,
     winner_of_lasso,
     winning_lasso,
 )
@@ -71,17 +74,14 @@ class TestBuild:
             prod = build_product(g, t)
             assert len(prod.positions) <= g.n * k
             assert prod.graph.n <= g.n * k + 2
-
-    def test_full_build(self):
-        g = arena()
-        t = random_transducer(random.Random(1), 2)
-        prod = build_product(g, t, full=True)
-        assert len(prod.positions) == g.n * 2
+            # the arena is assembled without make_game, so check it here
+            assert validate(prod.graph) == []
+            assert parse_game(serialize_game(prod.graph)) == prod.graph
 
     def test_colors_lift(self):
         g = arena()
         t = random_transducer(random.Random(2), 3)
-        prod = build_product(g, t, full=True)
+        prod = build_product(g, t)
         for (vid, _m), pvid in prod.positions.items():
             assert prod.graph.vertices[pvid].color == g.vertices[vid].color
             assert prod.graph.vertices[pvid].owner == g.vertices[vid].owner
@@ -121,16 +121,17 @@ class TestReachable:
             "u",
         )
         t = Transducer(AB, XY, ("a",), ((0, 0),))
-        prod = build_product(g, t, full=True)
+        prod = build_product(g, t)
         reach = reachable_positions(prod)
         assert (g.vertex("island").id, 0) not in reach
+        assert (g.vertex("island").id, 0) not in prod.positions
 
     def test_agreement_with_bfs_oracle(self):
         rng = random.Random(8)
         for _ in range(100):
             g = random_game(rng, rng.randrange(2, 4), rng.randrange(2, 4), AB, XY, "parity")
             t = random_transducer(rng, rng.randrange(1, 3))
-            prod = build_product(g, t, full=True)
+            prod = build_product(g, t)
             # independent closure over (vertex, state) pairs
             start = prod.initial
             seen = {start}
@@ -146,6 +147,7 @@ class TestReachable:
                         seen.add(nxt)
                         queue.append(nxt)
             assert set(reachable_positions(prod)) == seen
+            assert set(prod.positions) == seen
 
 
 class TestWinning:

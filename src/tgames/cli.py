@@ -6,7 +6,7 @@ machine-readable JSON report via ``--json-report``.
 
 Exit codes: 0 success (or: live / player 2 wins), 1 domain negative (not
 live / player 1 wins / violations found), 2 undecided at a resource cap or
-usage error, 3 I/O error.
+usage error, 3 I/O error, 4 input error (malformed document or bad query).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_UNDECIDED = 2
 EXIT_IO = 3
+EXIT_INPUT = 4
 
 
 class _Report:
@@ -280,7 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tgames",
         description="games against bounded finite-state environments",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for machine sweeps (sequential with --dedupe)",
+    )
     parser.add_argument("--cap", type=int, default=10_000_000, help="resource cap")
     parser.add_argument("--json-report", metavar="PATH", help="write a JSON run report")
     parser.add_argument(
@@ -371,7 +377,7 @@ def main(argv=None) -> int:
     except GameError as e:
         print(f"error: {e}", file=sys.stderr)
         report.finish("error")
-        return EXIT_NEGATIVE
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -74,6 +74,7 @@ class GameGraph:
     edges: dict[tuple[int, str], int]
     initial: int
     _by_name: dict[str, int] = field(default_factory=dict, repr=False)
+    _total: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._by_name:
@@ -108,11 +109,15 @@ class GameGraph:
             ) from None
 
     def is_total(self) -> bool:
-        return all(
-            (v.id, a) in self.edges
-            for v in self.vertices
-            for a in self.acting_alphabet(v.id)
-        )
+        """Whether every vertex has an edge on every acting symbol; computed
+        on the first call and kept, since the arena does not change."""
+        if self._total is None:
+            self._total = all(
+                (v.id, a) in self.edges
+                for v in self.vertices
+                for a in self.acting_alphabet(v.id)
+            )
+        return self._total
 
 
 def make_game(

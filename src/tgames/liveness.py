@@ -13,13 +13,13 @@ scratch.
 from __future__ import annotations
 
 import time
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .graphs import GameError, GameGraph, Word
 from .product import ProductGame, build_product, p2_winning_positions, reachable_positions
+from .solvers import _bfs_path
 from .transducers import (
     Transducer,
     agrees,
@@ -63,29 +63,11 @@ def _access_word(p: ProductGame, target: tuple[int, int]) -> tuple[str, ...]:
     """Shortest action path from the initial position to `target`; ties are
     broken by alphabet order.  Never passes through the deviation paradise
     (it is absorbing), so the word automatically agrees with the machine."""
-    goal = p.positions[target]
-    src = p.graph.initial
-    if goal == src:
-        return ()
-    parent: dict[int, tuple[int, str]] = {src: (-1, "")}
-    queue = deque([src])
-    while queue:
-        vid = queue.popleft()
-        for a, tgt in p.graph.successors(vid):
-            if tgt in parent:
-                continue
-            parent[tgt] = (vid, a)
-            if tgt == goal:
-                path = []
-                cur = tgt
-                while cur != src:
-                    pv, pa = parent[cur]
-                    path.append(pa)
-                    cur = pv
-                path.reverse()
-                return tuple(path)
-            queue.append(tgt)
-    raise GameError("internal error: losing position not reachable")
+    found = _bfs_path(p.graph, p.graph.initial, {p.positions[target]})
+    if found is None:
+        raise GameError("internal error: losing position not reachable")
+    steps, _goal = found
+    return tuple(a for _v, a in steps)
 
 
 def _scan_machine(g: GameGraph, t: Transducer) -> Optional[LivenessWitness]:
@@ -130,7 +112,8 @@ def check_k_live(
     silent multi-day run, unless `force` is set.  `dedupe` restricts the
     sweep to one machine per behavior class (the verdict only depends on
     induced strategies, so this is safe); `jobs` spreads ordinal chunks over
-    worker processes.
+    worker processes.  The sweep runs sequentially, whatever `jobs` says,
+    when `dedupe` is set or there are at most 64 machines.
     """
     if k < 1:
         raise GameError("k must be >= 1")

@@ -7,18 +7,19 @@ never play it, so player 1 deviating concedes).  Player-2 actions advance
 both the game vertex and the machine state.
 
 Because player 1 has no real choice left, each product solves in polynomial
-time via `solve_one_player` on the on-policy restriction.
+time via `solve_one_player` on the on-policy restriction.  Witness lassos
+are built only when one is first read.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .graphs import GameError, GameGraph, Lasso, Vertex, Word
 from .graphs import make_game  # noqa: F401  -- unused here; bench/tracing.py wraps it
-from .solvers import solve_one_player
+from .solvers import LazyMap, solve_one_player
 from .transducers import Transducer, agrees, run
 
 Position = tuple[int, int]  # (base vertex id, machine state)
@@ -36,7 +37,7 @@ class ProductGame:
     top: tuple[int, int]  # graph ids of the paradise pair (owner 1, owner 2)
     initial: Position
     order: tuple[Position, ...]  # reachable positions, in id order
-    _solution: Optional[tuple[frozenset[int], dict[int, Lasso]]] = field(
+    _solution: Optional[tuple[frozenset[int], Mapping[int, Lasso]]] = field(
         default=None, repr=False
     )
 
@@ -64,7 +65,7 @@ class ProductGame:
             self.graph.initial,
         )
 
-    def solution(self) -> tuple[frozenset[int], dict[int, Lasso]]:
+    def solution(self) -> tuple[frozenset[int], Mapping[int, Lasso]]:
         if self._solution is None:
             self._solution = solve_one_player(self.policy_view())
         return self._solution
@@ -141,12 +142,13 @@ def reachable_positions(p: ProductGame) -> tuple[Position, ...]:
 
 def p2_winning_positions(
     p: ProductGame,
-) -> tuple[frozenset[Position], dict[Position, Lasso]]:
+) -> tuple[frozenset[Position], Mapping[Position, Lasso]]:
     """Positions player 2 wins from (player 1 pinned to the machine), with
-    one witness lasso per winning position."""
+    one witness lasso per winning position.  The lassos are a read-only
+    mapping keyed by position in id order; each is built on first access."""
     region, lassos = p.solution()
-    win = frozenset(pos for pos, vid in p.positions.items() if vid in region)
-    return win, {p.of_vertex[vid]: l for vid, l in lassos.items() if vid in p.of_vertex}
+    won = [pos for pos in p.order if p.positions[pos] in region]
+    return frozenset(won), LazyMap(won, lambda pos: lassos[p.positions[pos]])
 
 
 def winning_lasso(p: ProductGame, pos: Position) -> Lasso:

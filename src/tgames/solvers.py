@@ -6,15 +6,18 @@ games over colors {1, 2}; a reachability game is won by player 2 exactly on
 its attractor to the color-2 vertices.
 
 `solve_one_player` handles arenas in which player 1 has exactly one outgoing
-edge per vertex (a deterministic environment), in polynomial time, and
-produces a witness lasso for every vertex player 2 wins from.
+edge per vertex (a deterministic environment) in polynomial time: one
+backward search gives the region, and the witness lasso for a vertex player
+2 wins from is built only when it is first read.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 from .graphs import GameError, GameGraph, Lasso, REACHABILITY
 
@@ -241,12 +244,42 @@ def _shortest_cycle(g: GameGraph, u: int, allowed: set[int]):
     return best
 
 
-def solve_one_player(g: GameGraph) -> tuple[frozenset[int], dict[int, Lasso]]:
+class LazyMap(Mapping):
+    """Read-only mapping over a fixed key sequence whose values are computed
+    by `compute(key)` on first access and kept."""
+
+    def __init__(self, keys: Sequence, compute: Callable):
+        self._keys = tuple(keys)
+        self._members = frozenset(self._keys)
+        self._compute = compute
+        self._values: dict = {}
+
+    def __getitem__(self, key):
+        if key not in self._values:
+            if key not in self._members:
+                raise KeyError(key)
+            self._values[key] = self._compute(key)
+        return self._values[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._members
+
+    def __iter__(self) -> Iterator:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+def solve_one_player(g: GameGraph) -> tuple[frozenset[int], Mapping[int, Lasso]]:
     """Player-2 winning set plus witness lassos when player 1 never chooses.
 
     Requires every owner-1 vertex to have exactly one outgoing edge; the
     arena degenerates to a graph in which only player 2 branches, so winning
-    is reachability of a suitable vertex/cycle.
+    is reachability of a suitable vertex/cycle.  The region comes from one
+    backward search from those goal vertices.  The lassos are a read-only
+    mapping keyed by the winning vertices in id order; each lasso is built
+    on first access.
     """
     for v in g.vertices:
         if v.owner == 1:
@@ -268,25 +301,30 @@ def solve_one_player(g: GameGraph) -> tuple[frozenset[int], dict[int, Lasso]]:
             allowed = {v.id for v in g.vertices if v.color <= c}
             sccs = _tarjan_sccs(allowed, lambda v: (t for _a, t in g.successors(v)))
             for comp in sccs:
-                comp_set = set(comp)
                 nontrivial = len(comp) > 1 or any(
                     t == comp[0] for _a, t in g.successors(comp[0])
                 )
                 if not nontrivial:
                     continue
+                inside = set(comp)  # Tarjan stays within `allowed`
                 for u in comp:
                     if g.vertices[u].color == c and u not in good:
-                        good[u] = allowed & comp_set
+                        good[u] = inside
 
     goals = set(good)
-    winning: set[int] = set()
-    witnesses: dict[int, Lasso] = {}
-    for v in g.vertices:
-        found = _bfs_path(g, v.id, goals)
-        if found is None:
-            continue
-        steps, u = found
-        winning.add(v.id)
+    preds: dict[int, list[int]] = {}
+    for (v, _a), t in g.edges.items():
+        preds.setdefault(t, []).append(v)
+    winning = set(goals)
+    queue = deque(goals)
+    while queue:
+        for v in preds.get(queue.popleft(), ()):
+            if v not in winning:
+                winning.add(v)
+                queue.append(v)
+
+    def lasso(vid: int) -> Lasso:
+        steps, u = _bfs_path(g, vid, goals)
         if g.objective == REACHABILITY:
             # color 2 already reached at u; close any cycle afterwards
             tail: list[tuple[int, str]] = []
@@ -297,13 +335,9 @@ def solve_one_player(g: GameGraph) -> tuple[frozenset[int], dict[int, Lasso]]:
                 tail.append((cur, a))
                 if t in seen_at:
                     cut = seen_at[t]
-                    prefix = tuple(steps) + tuple(tail[:cut])
-                    cycle = tuple(tail[cut:])
-                    break
+                    return Lasso(tuple(steps) + tuple(tail[:cut]), tuple(tail[cut:]))
                 seen_at[t] = len(tail)
                 cur = t
-            witnesses[v.id] = Lasso(prefix, cycle)
-        else:
-            cyc = _shortest_cycle(g, u, good[u])
-            witnesses[v.id] = Lasso(tuple(steps), tuple(cyc))
-    return frozenset(winning), witnesses
+        return Lasso(tuple(steps), tuple(_shortest_cycle(g, u, good[u])))
+
+    return frozenset(winning), LazyMap(sorted(winning), lasso)

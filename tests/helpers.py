@@ -64,6 +64,40 @@ def brute_force_region2(g: GameGraph) -> set:
     return region
 
 
+def one_player_region_oracle(g: GameGraph) -> set:
+    """Player-2 winning set when player 1 never chooses, vertex by vertex.
+
+    Player 2 then picks the whole play, so a vertex wins iff it reaches a
+    color-2 vertex (reachability), or reaches a vertex u of even color c
+    that lies on a cycle through colors at most c (parity, buchi).
+    """
+
+    def reach(src, allowed):
+        seen = {src}
+        stack = [src]
+        while stack:
+            v = stack.pop()
+            for (w, _a), t in g.edges.items():
+                if w == v and t in allowed and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    everything = {v.id for v in g.vertices}
+    if g.objective == "reachability":
+        anchors = {v.id for v in g.vertices if v.color == 2}
+    else:
+        anchors = set()
+        for u in g.vertices:
+            if u.color % 2:
+                continue
+            low = {v.id for v in g.vertices if v.color <= u.color}
+            first = {t for (w, _a), t in g.edges.items() if w == u.id and t in low}
+            if any(u.id in reach(t, low) for t in first):
+                anchors.add(u.id)
+    return {v for v in everything if reach(v, everything) & anchors}
+
+
 class ScriptController:
     """Plays a fixed action script, then repeats its last action."""
 

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+import tgames
 from tgames import (
     Transducer,
     make_game,
@@ -125,6 +127,25 @@ class TestCheckLive:
         machine = parse_transducer(text)  # comments are ignored by the parser
         assert machine.labels == ("b",)
 
+    def test_input_error_exit_apart_from_not_live(self, tmp_path, capsys):
+        trap = make_game(
+            "reachability", ("a", "b"), ("x",),
+            [("u", 1, 1), ("v", 2, 2), ("d1", 1, 1), ("d2", 2, 1)],
+            [
+                ("u", "a", "v"), ("u", "b", "d2"),
+                ("v", "x", "u"),
+                ("d1", "a", "d2"), ("d1", "b", "d2"), ("d2", "x", "d1"),
+            ],
+            "u",
+        )
+        good = tmp_path / "trap.bg"
+        good.write_text(serialize_game(trap))
+        bad = tmp_path / "malformed.bg"
+        bad.write_text(serialize_game(trap).replace("init u", "init nowhere"))
+        assert main(["check-live", str(good), "-k", "1"]) == 1
+        assert main(["check-live", str(bad), "-k", "1"]) == 4
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.bg")]) == 3
 
@@ -201,7 +222,16 @@ class TestGen:
             f"{sys.executable} -m tgames gen cnf {cnf} | "
             f"{sys.executable} -m tgames check-live - -k 1"
         )
-        proc = subprocess.run(pipeline, shell=True, capture_output=True, text=True)
+        # the child interpreters import the same tgames as this test run
+        src = os.path.dirname(os.path.dirname(tgames.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            pipeline,
+            shell=True,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
         assert proc.returncode == 1  # satisfiable unit clause: not live
         assert "not live" in proc.stdout
 

@@ -132,6 +132,17 @@ class TestSerialize:
             g = random_game(rng, 3, 3, ("a", "b"), ("x", "y"), "parity")
             assert parse_game(serialize_game(g)).edges == g.edges
 
+    def test_equal_after_round_trip_once_totality_is_known(self):
+        # is_total keeps its answer on the arena; that must not take part in ==
+        rng = random.Random(5)
+        for g in [two_vertex_game(), parse_game(MINIMAL.replace("edge u a v\n", ""))]:
+            g.is_total()
+            assert parse_game(serialize_game(g)) == g
+        for _ in range(10):
+            g = random_game(rng, 3, 3, ("a", "b"), ("x", "y"), "parity")
+            assert g.is_total()
+            assert parse_game(serialize_game(g)) == g
+
 
 class TestValidate:
     def test_total_well_typed(self):

@@ -5,13 +5,20 @@ import pytest
 
 from tgames import (
     GameError,
+    solvers,
     make_game,
     solve_one_player,
     solve_parity,
     winner_of_lasso,
 )
 
-from helpers import brute_force_region2, play_winner, random_game, random_one_player_game
+from helpers import (
+    brute_force_region2,
+    one_player_region_oracle,
+    play_winner,
+    random_game,
+    random_one_player_game,
+)
 
 
 class TestSolveParity:
@@ -156,3 +163,69 @@ class TestSolveOnePlayer:
             for vid, lasso in lassos.items():
                 assert lasso.start == vid
                 assert winner_of_lasso(lasso.to_word(), g, start=vid) == 2
+
+    @pytest.mark.parametrize("objective", ["parity", "buchi", "reachability"])
+    def test_region_matches_reachability_oracle(self, objective):
+        rng = random.Random(len(objective))
+        for _ in range(40):
+            g = random_one_player_game(
+                rng, rng.randrange(1, 8), rng.randrange(1, 8), ("x", "y"), objective
+            )
+            region, _ = solve_one_player(g)
+            assert region == one_player_region_oracle(g)
+
+
+class TestLazyLassos:
+    @staticmethod
+    def _game(objective, losers=True):
+        """A seeded one-player arena with several winning vertices (and,
+        when asked, a losing one)."""
+        rng = random.Random(7)
+        while True:
+            g = random_one_player_game(rng, 5, 5, ("x", "y"), objective)
+            region, _ = solve_one_player(g)
+            if len(region) >= 3 and (not losers or len(region) < g.n):
+                return g, region
+
+    @staticmethod
+    def _count_bfs(monkeypatch):
+        calls = []
+        real = solvers._bfs_path
+
+        def counted(g, src, goals, allowed=None):
+            # searches to the goals run unrestricted; cycle searches do not
+            calls.append((src, allowed is None))
+            return real(g, src, goals, allowed)
+
+        monkeypatch.setattr(solvers, "_bfs_path", counted)
+        return calls
+
+    @pytest.mark.parametrize("objective", ["parity", "buchi", "reachability"])
+    def test_no_search_until_a_lasso_is_read(self, objective, monkeypatch):
+        g, region = self._game(objective)
+        calls = self._count_bfs(monkeypatch)
+        _, lassos = solve_one_player(g)
+        assert calls == []
+        v = max(region)
+        lasso = lassos[v]
+        assert lasso.start == v
+        # one search from v to the goals; any others only close its cycle
+        assert [src for src, to_goals in calls if to_goals] == [v]
+        seen = len(calls)
+        assert lassos[v] is lasso
+        assert len(calls) == seen
+
+    @pytest.mark.parametrize("objective", ["parity", "buchi", "reachability"])
+    def test_mapping_keys(self, objective):
+        g, region = self._game(objective)
+        _, lassos = solve_one_player(g)
+        assert set(lassos) == region
+        assert list(lassos) == sorted(region)
+        assert len(lassos) == len(region)
+        loser = min(set(range(g.n)) - region)
+        assert loser not in lassos
+        with pytest.raises(KeyError):
+            lassos[loser]
+        for vid in region:
+            assert vid in lassos
+            assert winner_of_lasso(lassos[vid].to_word(), g, start=vid) == 2

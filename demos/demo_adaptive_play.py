@@ -44,11 +44,10 @@ assert verdict.live
 bound = steps_bound(game.n, 2, A1, A2)
 print(f"step budget for reachability-style wins: {bound}\n")
 
-cache = {}
 wins = 0
 worst = None
 for hidden in enumerate_transducers(2, A1, A2):
-    controller = adaptive_controller(game, 2, shared_cache=cache)
+    controller = adaptive_controller(game, 2)
     trace = simulate(game, controller, hidden, bound)
     assert trace.winner == 2, "a live game must be winnable against every machine"
     wins += 1

@@ -63,6 +63,7 @@ class ProductGame:
             self.graph.vertices,
             edges,
             self.graph.initial,
+            _by_name=self.graph._by_name,
         )
 
     def solution(self) -> tuple[frozenset[int], Mapping[int, Lasso]]:

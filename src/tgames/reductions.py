@@ -493,31 +493,39 @@ class ReplayStrategy:
         return action
 
 
+def _holds(psi: QbfFormula, var: int, assignment: dict[int, bool]) -> bool:
+    """Value of the formula with variables below `var` fixed by `assignment`
+    and the rest quantified as in the prefix (odd: for all, even: exists)."""
+    if var > 2 * psi.k:
+        return all(_clause_true(c, assignment) for c in psi.clauses)
+    vals = []
+    for b in (False, True):
+        assignment[var] = b
+        vals.append(_holds(psi, var + 1, assignment))
+        del assignment[var]
+    return all(vals) if var % 2 == 1 else any(vals)
+
+
+def _first_value(
+    psi: QbfFormula, var: int, assignment: dict[int, bool], want: bool
+) -> bool:
+    """Least value of `var` (False first) after which the rest of the
+    formula evaluates to `want`; False when neither does."""
+    for b in (False, True):
+        assignment[var] = b
+        ok = _holds(psi, var + 1, assignment) == want
+        del assignment[var]
+        if ok:
+            return b
+    return False
+
+
 def optimal_y_chooser(psi: QbfFormula) -> Callable:
     """Game-theoretically best y_i: keep the rest of the formula winnable
     if possible (ties: prefer False)."""
 
-    def best(var: int, assignment: dict[int, bool]) -> bool:
-        if var > 2 * psi.k:
-            return all(_clause_true(c, assignment) for c in psi.clauses)
-        vals = {}
-        for b in (False, True):
-            assignment[var] = b
-            vals[b] = best(var + 1, assignment)
-            del assignment[var]
-        if var % 2 == 1:
-            return vals[False] and vals[True]
-        return vals[False] or vals[True]
-
     def choose(i: int, assignment: dict[int, bool]) -> bool:
-        var = QbfFormula.y(i)
-        for b in (False, True):
-            assignment[var] = b
-            ok = best(var + 1, assignment)
-            del assignment[var]
-            if ok:
-                return b
-        return False
+        return _first_value(psi, QbfFormula.y(i), assignment, True)
 
     return choose
 
@@ -526,28 +534,7 @@ def falsifying_x(psi: QbfFormula, assignment: dict[int, bool], i: int) -> bool:
     """A value for x_i that keeps the formula falsifiable given the
     assignment to variables 1..2(i-1); exists whenever the formula is
     invalid and play so far followed falsifying choices."""
-
-    def worst(var: int, assignment: dict[int, bool]) -> bool:
-        # returns True when the universal player can force falsity
-        if var > 2 * psi.k:
-            return not all(_clause_true(c, assignment) for c in psi.clauses)
-        vals = {}
-        for b in (False, True):
-            assignment[var] = b
-            vals[b] = worst(var + 1, assignment)
-            del assignment[var]
-        if var % 2 == 1:
-            return vals[False] or vals[True]
-        return vals[False] and vals[True]
-
-    var = QbfFormula.x(i)
-    for b in (False, True):
-        assignment[var] = b
-        ok = worst(var + 1, assignment)
-        del assignment[var]
-        if ok:
-            return b
-    return False
+    return _first_value(psi, QbfFormula.x(i), assignment, False)
 
 
 def counter_transducer(

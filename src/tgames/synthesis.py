@@ -44,6 +44,7 @@ from .transducers import (
     count,
     dedupe_behavioral,
     enumerate_transducers,
+    from_ordinal,
 )
 
 DEFAULT_BELIEF_CAP = 1_000_000
@@ -203,27 +204,28 @@ class AdaptiveController:
     output a player-1 observation refutes.  An empty candidate set moves to
     the next machine; after the last machine the scan wraps around.
 
-    Storage stays polynomial: one ordinal, at most k candidate states, one
-    lasso with a cursor, and the current vertex.  Observation history is
-    never kept.
+    Storage stays polynomial: one ordinal and its product (the product's
+    `.transducer` is the hypothesis machine, `from_ordinal(ordinal)`), at
+    most k candidate states, one lasso with a cursor, and the current
+    vertex.  Observation history is never kept.  With `dedupe` the
+    hypotheses are the behaviour-class representatives instead, so the
+    controller also keeps one machine per class.
     """
 
-    def __init__(
-        self,
-        g: GameGraph,
-        k: int,
-        dedupe: bool = False,
-        shared_cache: Optional[dict] = None,
-    ):
+    def __init__(self, g: GameGraph, k: int, dedupe: bool = False):
         if not g.is_total():
             raise GameError("the controller needs a total arena")
         self.game = g
         self.k = k
-        self.machines: list[Transducer] = list(
-            dedupe_behavioral(enumerate_transducers(k, g.alphabet1, g.alphabet2))
-            if dedupe
-            else enumerate_transducers(k, g.alphabet1, g.alphabet2)
-        )
+        if dedupe:
+            reps = tuple(
+                dedupe_behavioral(enumerate_transducers(k, g.alphabet1, g.alphabet2))
+            )
+            self._machine = reps.__getitem__
+            self.hypotheses = len(reps)
+        else:
+            self._machine = lambda i: from_ordinal(i, k, g.alphabet1, g.alphabet2)
+            self.hypotheses = count(k, g.alphabet1, g.alphabet2)
         self.vertex = g.initial
         self.ordinal = 0
         self.candidates: list[int] = []
@@ -233,25 +235,27 @@ class AdaptiveController:
         self.tracking = False
         self.steps = 0
         self.log: list[HypothesisRecord] = []
-        # hypothesis ordinals index the (possibly deduped) machine list, so
-        # shared caches are partitioned by mode
-        cache = shared_cache if shared_cache is not None else {}
-        self._products: dict = cache.setdefault(("products", dedupe), {})
+        self._held: Optional[tuple[int, ProductGame]] = None
 
     # -- product plumbing ---------------------------------------------------
 
-    def _product(self, ordinal: int) -> ProductGame:
-        if ordinal not in self._products:
-            self._products[ordinal] = build_product(self.game, self.machines[ordinal])
-        return self._products[ordinal]
+    def _product(self) -> ProductGame:
+        """The current hypothesis' product, built when the ordinal moved."""
+        if self._held is None or self._held[0] != self.ordinal:
+            self._held = None  # let the old product go before building
+            self._held = (
+                self.ordinal,
+                build_product(self.game, self._machine(self.ordinal)),
+            )
+        return self._held[1]
 
     # -- hypothesis management ----------------------------------------------
 
     def _scan(self) -> bool:
         """Find the next machine with some (current vertex, m) reachable;
         initialize its candidate set.  False when a full wrap found none."""
-        for _ in range(len(self.machines)):
-            reach = reachable_positions(self._product(self.ordinal))
+        for _ in range(self.hypotheses):
+            reach = reachable_positions(self._product())
             ms = sorted(m for (v, m) in reach if v == self.vertex)
             if ms:
                 self.candidates = ms
@@ -259,13 +263,13 @@ class AdaptiveController:
                 if self._conjecture_from_current():
                     return True
                 self.tracking = False
-            self.ordinal = (self.ordinal + 1) % len(self.machines)
+            self.ordinal = (self.ordinal + 1) % self.hypotheses
         return False
 
     def _conjecture_from_current(self) -> bool:
         """Pick the least candidate with a winning lasso at the current
         vertex; drop candidates that admit none."""
-        prod = self._product(self.ordinal)
+        prod = self._product()
         while self.candidates:
             m = self.candidates[0]
             pos = (self.vertex, m)
@@ -298,7 +302,7 @@ class AdaptiveController:
         self.conjecture = None
         self.lasso = None
         self.candidates = []
-        self.ordinal = (self.ordinal + 1) % len(self.machines)
+        self.ordinal = (self.ordinal + 1) % self.hypotheses
 
     # -- the actual strategy -------------------------------------------------
 
@@ -311,7 +315,7 @@ class AdaptiveController:
         if self.tracking:
             # candidates predicting a different output are refuted; machine
             # states do not advance on player-1 moves
-            labels = self.machines[self.ordinal].labels
+            labels = self._product().transducer.labels
             self.candidates = [m for m in self.candidates if labels[m] == observed]
             if self.conjecture is not None and self.conjecture not in self.candidates:
                 # the conjectured lasso predicted exactly this machine's
@@ -333,13 +337,11 @@ class AdaptiveController:
             self._scan()
 
         action = None
-        guard = len(self.machines) + 2
+        guard = self.hypotheses + 2
         while action is None and self.tracking and guard > 0:
             guard -= 1
             pos, act = self._lasso_entry()
-            vid = self._product(self.ordinal).positions.get(
-                (self.vertex, self.conjecture)
-            )
+            vid = self._product().positions.get((self.vertex, self.conjecture))
             if vid is not None and pos == vid:
                 action = act
                 self._bump_cursor()
@@ -357,7 +359,7 @@ class AdaptiveController:
             action = g.alphabet2[0]
 
         if self.tracking:
-            t = self.machines[self.ordinal]
+            t = self._product().transducer
             self.candidates = sorted({t.step(m, action) for m in self.candidates})
             if self.conjecture is not None:
                 self.conjecture = t.step(self.conjecture, action)
@@ -381,10 +383,8 @@ class AdaptiveController:
         )
 
 
-def adaptive_controller(
-    g: GameGraph, k: int, dedupe: bool = False, shared_cache: Optional[dict] = None
-) -> AdaptiveController:
-    return AdaptiveController(g, k, dedupe=dedupe, shared_cache=shared_cache)
+def adaptive_controller(g: GameGraph, k: int, dedupe: bool = False) -> AdaptiveController:
+    return AdaptiveController(g, k, dedupe=dedupe)
 
 
 def simulate(

@@ -186,10 +186,9 @@ def test_criterion_3_adaptive_controller_wins_live_games(corpus):
     sims = 0
     ok = True
     for g in live:
-        cache = {}
         bound = steps_bound(g.n, 2, AB, XY)
         for hidden in machines:
-            ctrl = adaptive_controller(g, 2, shared_cache=cache)
+            ctrl = adaptive_controller(g, 2)
             trace = simulate(g, ctrl, hidden, bound)
             sims += 1
             if trace.winner != 2:

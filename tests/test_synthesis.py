@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import weakref
 
 import pytest
 
@@ -8,16 +11,19 @@ from tgames import (
     Word,
     adaptive_controller,
     check_k_live,
+    count,
     enumerate_transducers,
     from_ordinal,
     make_game,
     qbf_brute_force,
     qbf_to_game,
+    robot_scenario,
     simulate,
     solve_bounded,
     steps_bound,
     winner_of_lasso,
 )
+from tgames import synthesis
 
 from helpers import ScriptController, random_game
 
@@ -191,10 +197,9 @@ class TestAdaptiveController:
             if not check_k_live(g, 2).live:
                 continue
             live_seen += 1
-            cache = {}
             bound = steps_bound(g.n, 2, AB, XY)
             for hidden in machines:
-                ctrl = adaptive_controller(g, 2, shared_cache=cache)
+                ctrl = adaptive_controller(g, 2)
                 trace = simulate(g, ctrl, hidden, bound)
                 assert trace.winner == 2
                 if g.objective == "reachability":
@@ -240,11 +245,46 @@ class TestAdaptiveController:
             if not check_k_live(g, 2).live:
                 continue
             live_seen += 1
-            cache = {}
             bound = steps_bound(g.n, 2, AB, XY)
             for hidden in machines:
-                ctrl = adaptive_controller(g, 2, dedupe=True, shared_cache=cache)
+                ctrl = adaptive_controller(g, 2, dedupe=True)
                 assert simulate(g, ctrl, hidden, bound).winner == 2
+
+    def test_hypotheses_are_not_enumerated(self, monkeypatch):
+        # at k=5 robot(2) has more machines than sys.maxsize: the controller
+        # must reach each hypothesis by its ordinal, never list them
+        def refuse(*args, **kwargs):
+            raise AssertionError("the controller enumerated every machine")
+
+        monkeypatch.setattr(synthesis, "enumerate_transducers", refuse)
+        g = robot_scenario(2)
+        total = count(5, g.alphabet1, g.alphabet2)
+        assert total > sys.maxsize
+        ctrl = adaptive_controller(g, 5)
+        assert ctrl.hypotheses == total
+        assert ctrl.next_action(g.alphabet1[0]) in g.alphabet2
+
+    def test_holds_one_product_at_a_time(self, monkeypatch):
+        original = synthesis.build_product
+        built = []
+        products = []
+
+        def recording(g, t):
+            prod = original(g, t)
+            built.append(t)
+            products.append(weakref.ref(prod))
+            return prod
+
+        monkeypatch.setattr(synthesis, "build_product", recording)
+        g = robot_scenario(2)
+        hidden = from_ordinal(1691, 2, g.alphabet1, g.alphabet2)
+        ctrl = adaptive_controller(g, 2)
+        trace = simulate(g, ctrl, hidden, steps_bound(g.n, 2, g.alphabet1, g.alphabet2))
+        assert trace.winner == 2
+        assert len(built) > 1000
+        assert len(set(built)) == len(built)
+        gc.collect()  # `ctrl` is still referenced and holds its current product
+        assert sum(ref() is not None for ref in products) <= 1
 
 
 class TestSimulate:

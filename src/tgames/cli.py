@@ -259,9 +259,10 @@ def _cmd_enumerate(args, report) -> int:
         print(total)
         report.finish("ok", count=total)
         return EXIT_OK
-    if total > args.cap:
-        print(f"undecided: {total} machines exceed cap {args.cap}")
-        report.finish("undecided-at-cap", count=total)
+    window = (total if args.stop is None else args.stop) - args.start
+    if window > args.cap:
+        print(f"undecided: {window} machines exceed cap {args.cap}")
+        report.finish("undecided-at-cap", count=window)
         return EXIT_UNDECIDED
     stream = enumerate_transducers(args.k, outputs, inputs, args.start, args.stop)
     if args.dedupe:

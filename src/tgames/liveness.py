@@ -98,7 +98,6 @@ def _scan_chunk(args) -> Optional[tuple[int, dict]]:
 def check_k_live(
     g: GameGraph,
     k: int,
-    objective: Optional[str] = None,
     dedupe: bool = False,
     jobs: int = 1,
     cap: int = DEFAULT_CAP,
@@ -106,7 +105,7 @@ def check_k_live(
     force: bool = False,
 ) -> LivenessVerdict:
     """Sweep all k-state machines; not-live as soon as one admits a
-    reachable losing position.
+    reachable position that player 2 loses under the arena's objective.
 
     A machine count above `cap` yields an undecided verdict instead of a
     silent multi-day run, unless `force` is set.  `dedupe` restricts the
@@ -119,10 +118,6 @@ def check_k_live(
         raise GameError("k must be >= 1")
     if not g.is_total():
         raise GameError("check_k_live requires a total arena (run complete first)")
-    if objective is not None and objective != g.objective:
-        g = GameGraph(
-            objective, g.alphabet1, g.alphabet2, g.vertices, g.edges, g.initial
-        )
     started = time.perf_counter()
     total = count(k, g.alphabet1, g.alphabet2)
     stats = LivenessStats()

@@ -6,6 +6,12 @@ player-1 action falls into an absorbing player-2 paradise (the machine would
 never play it, so player 1 deviating concedes).  Player-2 actions advance
 both the game vertex and the machine state.
 
+The product is one case of `_explore`, which crosses an arena with any
+deterministic observer whose states are ints: a machine here, and the
+subset construction over all k-state machines in `synthesis.solve_bounded`.
+It numbers the reachable (vertex, state) pairs in breadth-first order and
+writes the arena by vertex id, with no name lookups.
+
 Because player 1 has no real choice left, each product solves in polynomial
 time via `solve_one_player` on the on-policy restriction.  Witness lassos
 are built only when one is first read.
@@ -13,9 +19,10 @@ are built only when one is first read.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .graphs import GameError, GameGraph, Lasso, Vertex, Word
 from .graphs import make_game  # noqa: F401  -- unused here; bench/tracing.py wraps it
@@ -43,19 +50,11 @@ class ProductGame:
 
     def policy_view(self) -> GameGraph:
         """Copy of the arena keeping only the machine's action at player-1
-        positions (the top pair keeps a single arbitrary action)."""
-        edges = {}
-        for v in self.graph.vertices:
-            if v.owner == 2:
-                for a, t in self.graph.successors(v.id):
-                    edges[(v.id, a)] = t
-            elif v.id == self.top[0]:
-                a = self.graph.alphabet1[0]
-                edges[(v.id, a)] = self.graph.edges[(v.id, a)]
-            else:
-                _u, m = self.of_vertex[v.id]
-                a = self.transducer.labels[m]
-                edges[(v.id, a)] = self.graph.edges[(v.id, a)]
+        positions (the top pair keeps a single arbitrary action).  Only
+        off-policy moves and the top pair's own moves enter `top[1]`."""
+        top_a, top_b = self.top
+        edges = {key: t for key, t in self.graph.edges.items() if t != top_b}
+        edges[(top_a, self.graph.alphabet1[0])] = top_b
         return GameGraph(
             self.graph.objective,
             self.graph.alphabet1,
@@ -72,6 +71,74 @@ class ProductGame:
         return self._solution
 
 
+def _explore(
+    g: GameGraph,
+    start: int,
+    offer: Callable[[int], Mapping[str, int]],
+    step: Callable[[int, str], int],
+    cap: float = math.inf,
+) -> tuple[Optional[GameGraph], dict[Position, int], list[Position]]:
+    """Cross the total arena `g` with a deterministic observer.
+
+    Numbers the (base vertex, state) pairs reachable from (initial vertex,
+    `start`) in breadth-first order.  At a player-1 position with state x,
+    `offer(x)` maps each action the observer allows to its next state; every
+    other action concedes to the `TOP_NAMES` paradise on the last two ids.
+    Player-2 actions advance the state by `step(x, b)`.  Returns the arena,
+    the position ids and the positions in id order.  Exploration stops as
+    soon as more than `cap` positions exist; the arena is then None.
+    """
+    first = (g.initial, start)
+    positions: dict[Position, int] = {first: 0}
+    order: list[Position] = [first]
+    edges: dict[tuple[int, str], int] = {}
+    off: list[tuple[int, str]] = []  # into the paradise, id not yet known
+
+    vertices, base_edges = g.vertices, g.edges
+    i = 0
+    while i < len(order) <= cap:  # stop once more than `cap` positions exist
+        u, x = order[i]
+        if vertices[u].owner == 1:
+            moves = offer(x)
+            for a in g.alphabet1:
+                if a not in moves:
+                    off.append((i, a))
+                    continue
+                pos = (base_edges[(u, a)], moves[a])
+                j = positions.get(pos)
+                if j is None:
+                    j = positions[pos] = len(order)
+                    order.append(pos)
+                edges[(i, a)] = j
+        else:
+            for b in g.alphabet2:
+                pos = (base_edges[(u, b)], step(x, b))
+                j = positions.get(pos)
+                if j is None:
+                    j = positions[pos] = len(order)
+                    order.append(pos)
+                edges[(i, b)] = j
+        i += 1
+    if len(order) > cap:
+        return None, positions, order
+
+    top_a, top_b = len(order), len(order) + 1
+    for key in off:
+        edges[key] = top_b
+    for a in g.alphabet1:
+        edges[(top_a, a)] = top_b
+    for b in g.alphabet2:
+        edges[(top_b, b)] = top_a
+    vertices = []
+    for i, (u, x) in enumerate(order):
+        v = g.vertices[u]
+        vertices.append(Vertex(i, f"({v.name},{x})", v.owner, v.color))
+    vertices.append(Vertex(top_a, TOP_NAMES[0], 1, 2))
+    vertices.append(Vertex(top_b, TOP_NAMES[1], 2, 2))
+    graph = GameGraph(g.objective, g.alphabet1, g.alphabet2, tuple(vertices), edges, 0)
+    return graph, positions, order
+
+
 def build_product(g: GameGraph, t: Transducer) -> ProductGame:
     """Pair `g` with machine `t`.  Only positions reachable from (initial
     vertex, initial state) are materialized, numbered in breadth-first
@@ -80,57 +147,16 @@ def build_product(g: GameGraph, t: Transducer) -> ProductGame:
         raise GameError("machine alphabets do not match the arena")
     if not g.is_total():
         raise GameError("build_product requires a total arena (run complete first)")
-
-    start: Position = (g.initial, t.initial)
-    positions: dict[Position, int] = {start: 0}
-    order: list[Position] = [start]
-    edges: dict[tuple[int, str], int] = {}
-    off_policy: list[tuple[int, str]] = []  # targets the paradise, id not yet known
-
-    def vid(pos: Position) -> int:
-        if pos not in positions:
-            positions[pos] = len(order)
-            order.append(pos)
-        return positions[pos]
-
-    i = 0
-    while i < len(order):
-        u, m = order[i]
-        if g.vertices[u].owner == 1:
-            on = t.labels[m]
-            for a in g.alphabet1:
-                if a == on:
-                    edges[(i, a)] = vid((g.edges[(u, a)], m))
-                else:
-                    off_policy.append((i, a))
-        else:
-            for b in g.alphabet2:
-                edges[(i, b)] = vid((g.edges[(u, b)], t.step(m, b)))
-        i += 1
-
-    top_a, top_b = len(order), len(order) + 1
-    for key in off_policy:
-        edges[key] = top_b
-    for a in g.alphabet1:
-        edges[(top_a, a)] = top_b
-    for b in g.alphabet2:
-        edges[(top_b, b)] = top_a
-    vertices = []
-    for i, (u, m) in enumerate(order):
-        v = g.vertices[u]
-        vertices.append(Vertex(i, f"({v.name},{m})", v.owner, v.color))
-    vertices.append(Vertex(top_a, TOP_NAMES[0], 1, 2))
-    vertices.append(Vertex(top_b, TOP_NAMES[1], 2, 2))
+    offer = [{label: m} for m, label in enumerate(t.labels)].__getitem__
+    graph, positions, order = _explore(g, t.initial, offer, t.step)
     return ProductGame(
         base=g,
         transducer=t,
-        graph=GameGraph(
-            g.objective, g.alphabet1, g.alphabet2, tuple(vertices), edges, 0
-        ),
+        graph=graph,
         positions=positions,
         of_vertex=dict(enumerate(order)),
-        top=(top_a, top_b),
-        initial=start,
+        top=(len(order), len(order) + 1),
+        initial=order[0],
         order=tuple(order),
     )
 

@@ -7,7 +7,10 @@ Two routes:
   set of (machine, state) pairs still consistent with the observed play.
   Player 1's available moves at a knowledge position are exactly the labels
   some consistent pair would emit; a move both reveals information (the
-  belief shrinks to the consistent subset) and advances the game.
+  belief shrinks to the consistent subset) and advances the game.  Beliefs
+  are interned to ints, so the arena comes from the same explorer as a
+  machine's product (`product._explore`); other labels concede to its
+  paradise.
 
 * `adaptive_controller` produces the online strategy that wins every k-live
   game: hypothesize machines in enumeration order, track the candidate
@@ -30,14 +33,19 @@ from .graphs import (
     GameError,
     GameGraph,
     Lasso,
-    P2_PARADISE,
     REACHABILITY,
     Word,
-    make_game,
     winner_of_lasso,
 )
+from .graphs import make_game  # noqa: F401  -- unused here; bench/tracing.py wraps it
 from .solvers import ParitySolution, solve_parity
-from .product import ProductGame, build_product, reachable_positions, winning_lasso
+from .product import (
+    ProductGame,
+    _explore,
+    build_product,
+    reachable_positions,
+    winning_lasso,
+)
 from .transducers import (
     Transducer,
     canonical_ordinal,
@@ -73,24 +81,20 @@ class BoundedSolveResult:
 def solve_bounded(
     g: GameGraph,
     k: int,
-    objective: Optional[str] = None,
     dedupe: bool = False,
     belief_cap: int = DEFAULT_BELIEF_CAP,
     machine_cap: int = DEFAULT_MACHINE_CAP,
 ) -> BoundedSolveResult:
     """Can player 2 win against every k-state machine?
 
-    Builds the reachable knowledge arena and hands it to the parity solver.
-    Beliefs only ever shrink along a play and the machine pool is finite, so
-    an infinite play consistent at every prefix is consistent with one fixed
-    machine: the arena decides exactly the bounded-environment question.
+    Builds the reachable knowledge arena, scored under `g.objective`, and
+    hands it to the parity solver.  Beliefs only ever shrink along a play
+    and the machine pool is finite, so an infinite play consistent at every
+    prefix is consistent with one fixed machine: the arena decides exactly
+    the bounded-environment question.
     """
     if not g.is_total():
         raise GameError("solve_bounded requires a total arena")
-    if objective is not None and objective != g.objective:
-        g = GameGraph(
-            objective, g.alphabet1, g.alphabet2, g.vertices, g.edges, g.initial
-        )
     if count(k, g.alphabet1, g.alphabet2) > machine_cap:
         return BoundedSolveResult(None, reason="machine count above cap")
     stream = enumerate_transducers(k, g.alphabet1, g.alphabet2)
@@ -98,62 +102,34 @@ def solve_bounded(
         stream = dedupe_behavioral(stream)
     machines = {canonical_ordinal(t): t for t in stream}
 
-    initial_belief: Belief = frozenset((o, t.initial) for o, t in machines.items())
-    start = (g.initial, initial_belief)
-    index: dict[tuple[int, Belief], int] = {start: 0}
-    order: list[tuple[int, Belief]] = [start]
-    names: list[tuple[str, int, int]] = []
-    edges: list[tuple[str, str, str]] = []
+    # beliefs are interned to ids, the observer states of the explorer
+    ids: dict[Belief, int] = {}
+    beliefs: list[Belief] = []
 
-    def name_of(i: int) -> str:
-        return f"b{i}"
+    def intern(belief: Belief) -> int:
+        x = ids.setdefault(belief, len(beliefs))
+        if x == len(beliefs):
+            beliefs.append(belief)
+        return x
 
-    qi = 0
-    while qi < len(order):
-        u, belief = order[qi]
-        qi += 1
-        if len(order) > belief_cap:
-            return BoundedSolveResult(
-                None, reason="belief position count above cap", positions=len(order)
-            )
-        v = g.vertices[u]
-        names.append((name_of(qi - 1), v.owner, v.color))
-        src = name_of(qi - 1)
-        if v.owner == 1:
-            groups: dict[str, list[tuple[int, int]]] = {}
-            for o, m in belief:
-                groups.setdefault(machines[o].labels[m], []).append((o, m))
-            for a in g.alphabet1:
-                if a in groups:
-                    tgt = (g.edges[(u, a)], frozenset(groups[a]))
-                    if tgt not in index:
-                        index[tgt] = len(order)
-                        order.append(tgt)
-                    edges.append((src, a, name_of(index[tgt])))
-                else:
-                    edges.append((src, a, P2_PARADISE[1]))
-        else:
-            for b in g.alphabet2:
-                advanced = frozenset((o, machines[o].step(m, b)) for o, m in belief)
-                tgt = (g.edges[(u, b)], advanced)
-                if tgt not in index:
-                    index[tgt] = len(order)
-                    order.append(tgt)
-                edges.append((src, b, name_of(index[tgt])))
+    def offer(x: int) -> dict[str, int]:
+        # a label reveals information: the belief shrinks to the pairs emitting it
+        groups: dict[str, list[tuple[int, int]]] = {}
+        for o, m in beliefs[x]:
+            groups.setdefault(machines[o].labels[m], []).append((o, m))
+        return {a: intern(frozenset(grp)) for a, grp in groups.items()}
 
-    # inconsistent player-1 actions concede: absorbing player-2 paradise
-    names.append((P2_PARADISE[0], 1, 2))
-    names.append((P2_PARADISE[1], 2, 2))
-    for a in g.alphabet1:
-        edges.append((P2_PARADISE[0], a, P2_PARADISE[1]))
-    for b in g.alphabet2:
-        edges.append((P2_PARADISE[1], b, P2_PARADISE[0]))
+    def step(x: int, b: str) -> int:
+        return intern(frozenset((o, machines[o].step(m, b)) for o, m in beliefs[x]))
 
-    arena_graph = make_game(
-        g.objective, g.alphabet1, g.alphabet2, names, edges, name_of(0)
-    )
+    start = intern(frozenset((o, t.initial) for o, t in machines.items()))
+    arena_graph, _positions, order = _explore(g, start, offer, step, belief_cap)
+    if arena_graph is None:
+        return BoundedSolveResult(
+            None, reason="belief position count above cap", positions=len(order)
+        )
     solution = solve_parity(arena_graph)
-    belief_of = {i: pos for pos, i in index.items()}
+    belief_of = {i: (u, beliefs[x]) for i, (u, x) in enumerate(order)}
     arena = BeliefArena(arena_graph, belief_of, machines)
     strategy = {
         vid: a for vid, a in solution.strategy2.items() if vid < len(order)

@@ -249,6 +249,22 @@ class TestEnumerate:
         docs = out.read_text().split("\n\n")
         assert len(docs) == 2
 
+    def test_cap_applies_to_the_window(self, tmp_path):
+        # 5,832 machines in all, but the window holds only 2
+        out = tmp_path / "machines.txt"
+        assert main(["--cap", "100", "enumerate", "-k", "3", "--outputs", "a,b",
+                     "--inputs", "x,y", "--start", "0", "--stop", "2",
+                     "-o", str(out)]) == 0
+        assert len(out.read_text().split("\n\n")) == 2
+
+    def test_window_above_cap_is_undecided(self, tmp_path, capsys):
+        out = tmp_path / "machines.txt"
+        assert main(["--cap", "100", "enumerate", "-k", "3", "--outputs", "a,b",
+                     "--inputs", "x,y", "--start", "0", "--stop", "101",
+                     "-o", str(out)]) == 2
+        assert "101 machines exceed cap 100" in capsys.readouterr().out
+        assert not out.exists()
+
 
 class TestReport:
     def test_schema_and_determinism(self, game_file, tmp_path, capsys):

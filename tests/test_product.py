@@ -77,6 +77,11 @@ class TestBuild:
             # the arena is assembled without make_game, so check it here
             assert validate(prod.graph) == []
             assert parse_game(serialize_game(prod.graph)) == prod.graph
+            # the view drops the deviations and all but one top[0] move
+            top_a, top_b = prod.top
+            kept = {e: v for e, v in prod.graph.edges.items() if v != top_b}
+            kept[(top_a, AB[0])] = top_b
+            assert prod.policy_view().edges == kept
 
     def test_colors_lift(self):
         g = arena()

@@ -15,12 +15,15 @@ from tgames import (
     enumerate_transducers,
     from_ordinal,
     make_game,
+    parse_game,
     qbf_brute_force,
     qbf_to_game,
     robot_scenario,
+    serialize_game,
     simulate,
     solve_bounded,
     steps_bound,
+    validate,
     winner_of_lasso,
 )
 from tgames import synthesis
@@ -80,6 +83,18 @@ class TestSolveBounded:
         res = solve_bounded(g, 2, belief_cap=3)
         assert res.p2_wins is None
         assert "belief" in res.reason
+        assert res.positions == 5
+
+    def test_arena_is_well_formed(self):
+        # the knowledge arena is assembled without make_game, so check it here
+        rng = random.Random(32)
+        for objective in ("reachability", "buchi", "parity"):
+            g = random_game(rng, 3, 3, AB, XY, objective)
+            res = solve_bounded(g, 2)
+            arena = res.arena.graph
+            assert validate(arena) == []
+            assert parse_game(serialize_game(arena)) == arena
+            assert set(res.arena.belief_of) == set(range(res.positions))
 
     def test_strategy_beats_every_machine_on_winning_games(self):
         rng = random.Random(30)

@@ -259,7 +259,12 @@ def _cmd_enumerate(args, report) -> int:
         print(total)
         report.finish("ok", count=total)
         return EXIT_OK
-    window = (total if args.stop is None else args.stop) - args.start
+    stop = total if args.stop is None else args.stop
+    if not 0 <= args.start < stop <= total:
+        raise GameError(
+            f"ordinal window [{args.start}, {stop}) is empty or outside [0, {total})"
+        )
+    window = stop - args.start
     if window > args.cap:
         print(f"undecided: {window} machines exceed cap {args.cap}")
         report.finish("undecided-at-cap", count=window)
@@ -288,7 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for machine sweeps (sequential with --dedupe)",
     )
-    parser.add_argument("--cap", type=int, default=10_000_000, help="resource cap")
+    parser.add_argument(
+        "--cap",
+        type=int,
+        default=10_000_000,
+        help="resource cap: machines in a sweep or an enumerate window; "
+        "solve --method belief applies it to the machine count and to the "
+        "belief positions",
+    )
     parser.add_argument("--json-report", metavar="PATH", help="write a JSON run report")
     parser.add_argument(
         "--deterministic",

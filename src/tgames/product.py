@@ -8,9 +8,12 @@ both the game vertex and the machine state.
 
 The product is one case of `_explore`, which crosses an arena with any
 deterministic observer whose states are ints: a machine here, and the
-subset construction over all k-state machines in `synthesis.solve_bounded`.
-It numbers the reachable (vertex, state) pairs in breadth-first order and
-writes the arena by vertex id, with no name lookups.
+subset construction over all k-state machines in `synthesis.solve_bounded`
+(whose states are belief bitmasks).  It numbers the reachable (vertex,
+state) pairs in breadth-first order and writes the edge map by vertex id,
+naming nothing.  `_named_graph` turns that into a named `GameGraph`, which
+`build_product` does at once; `_int_arena` turns it into the parity
+solver's integer form, which is all `solve_bounded` needs.
 
 Because player 1 has no real choice left, each product solves in polynomial
 time via `solve_one_player` on the on-policy restriction.  Witness lassos
@@ -26,7 +29,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .graphs import GameError, GameGraph, Lasso, Vertex, Word
 from .graphs import make_game  # noqa: F401  -- unused here; bench/tracing.py wraps it
-from .solvers import LazyMap, solve_one_player
+from .solvers import Arena, LazyMap, solve_one_player
 from .transducers import Transducer, agrees, run
 
 Position = tuple[int, int]  # (base vertex id, machine state)
@@ -77,16 +80,17 @@ def _explore(
     offer: Callable[[int], Mapping[str, int]],
     step: Callable[[int, str], int],
     cap: float = math.inf,
-) -> tuple[Optional[GameGraph], dict[Position, int], list[Position]]:
+) -> tuple[Optional[dict[tuple[int, str], int]], dict[Position, int], list[Position]]:
     """Cross the total arena `g` with a deterministic observer.
 
     Numbers the (base vertex, state) pairs reachable from (initial vertex,
     `start`) in breadth-first order.  At a player-1 position with state x,
     `offer(x)` maps each action the observer allows to its next state; every
     other action concedes to the `TOP_NAMES` paradise on the last two ids.
-    Player-2 actions advance the state by `step(x, b)`.  Returns the arena,
-    the position ids and the positions in id order.  Exploration stops as
-    soon as more than `cap` positions exist; the arena is then None.
+    Player-2 actions advance the state by `step(x, b)`.  Returns the edge
+    map by vertex id, the position ids and the positions in id order; no
+    position is named (`_named_graph` does that).  Exploration stops as soon
+    as more than `cap` positions exist; the edge map is then None.
     """
     first = (g.initial, start)
     positions: dict[Position, int] = {first: 0}
@@ -129,14 +133,31 @@ def _explore(
         edges[(top_a, a)] = top_b
     for b in g.alphabet2:
         edges[(top_b, b)] = top_a
+    return edges, positions, order
+
+
+def _named_graph(
+    g: GameGraph, edges: dict[tuple[int, str], int], order: Sequence[Position]
+) -> GameGraph:
+    """The explorer's arena as a `GameGraph`: position (u, x) is named
+    `(<name of u>,<x>)` and keeps u's owner and color."""
     vertices = []
     for i, (u, x) in enumerate(order):
         v = g.vertices[u]
         vertices.append(Vertex(i, f"({v.name},{x})", v.owner, v.color))
-    vertices.append(Vertex(top_a, TOP_NAMES[0], 1, 2))
-    vertices.append(Vertex(top_b, TOP_NAMES[1], 2, 2))
-    graph = GameGraph(g.objective, g.alphabet1, g.alphabet2, tuple(vertices), edges, 0)
-    return graph, positions, order
+    vertices.append(Vertex(len(order), TOP_NAMES[0], 1, 2))
+    vertices.append(Vertex(len(order) + 1, TOP_NAMES[1], 2, 2))
+    return GameGraph(g.objective, g.alphabet1, g.alphabet2, tuple(vertices), edges, 0)
+
+
+def _int_arena(
+    g: GameGraph, edges: dict[tuple[int, str], int], order: Sequence[Position]
+) -> Arena:
+    """The explorer's arena in the solver's integer form, with no names."""
+    vertices = g.vertices
+    owner = [vertices[u].owner for u, _x in order] + [1, 2]
+    color = [vertices[u].color for u, _x in order] + [2, 2]
+    return Arena(g.objective, g.alphabet1, g.alphabet2, owner, color, edges)
 
 
 def build_product(g: GameGraph, t: Transducer) -> ProductGame:
@@ -148,11 +169,11 @@ def build_product(g: GameGraph, t: Transducer) -> ProductGame:
     if not g.is_total():
         raise GameError("build_product requires a total arena (run complete first)")
     offer = [{label: m} for m, label in enumerate(t.labels)].__getitem__
-    graph, positions, order = _explore(g, t.initial, offer, t.step)
+    edges, positions, order = _explore(g, t.initial, offer, t.step)
     return ProductGame(
         base=g,
         transducer=t,
-        graph=graph,
+        graph=_named_graph(g, edges, order),
         positions=positions,
         of_vertex=dict(enumerate(order)),
         top=(len(order), len(order) + 1),

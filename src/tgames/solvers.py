@@ -3,7 +3,11 @@
 `solve_parity` runs the classical recursive (Zielonka) algorithm and returns
 positional strategies together with the two regions.  Büchi games are parity
 games over colors {1, 2}; a reachability game is won by player 2 exactly on
-its attractor to the color-2 vertices.
+its attractor to the color-2 vertices.  It runs on `Arena`, an integer form
+of a total arena: owner and color lists, successor rows in alphabet order
+and predecessor rows in vertex order.  A `GameGraph` is compiled to that
+form once per call (`compile_arena`); the knowledge arena is built in it
+directly.
 
 `solve_one_player` handles arenas in which player 1 has exactly one outgoing
 edge per vertex (a deterministic environment) in polynomial time: one
@@ -16,8 +20,8 @@ from __future__ import annotations
 import sys
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import Callable, Iterator, Sequence, Union
 
 from .graphs import GameError, GameGraph, Lasso, REACHABILITY
 
@@ -33,37 +37,73 @@ class ParitySolution:
         return 2 if vid in self.region2 else 1
 
 
-def _predecessors(g: GameGraph) -> dict[int, list[tuple[int, str]]]:
-    preds: dict[int, list[tuple[int, str]]] = {v.id: [] for v in g.vertices}
-    for v in g.vertices:
-        for a, tgt in g.successors(v.id):
-            preds[tgt].append((v.id, a))
-    return preds
+@dataclass
+class Arena:
+    """Integer form of a total arena, the one form the parity solver runs on.
+
+    Vertex v has owner `owner[v]` and color `color[v]`.  Both row lists are
+    read off the total (vertex id, action) edge map: `succ[v]` lists v's
+    targets in the order of its owner's alphabet, and `pred[t]` lists the
+    (source, action) pairs into t, sources in vertex order.
+    """
+
+    objective: str
+    alphabet1: tuple[str, ...]
+    alphabet2: tuple[str, ...]
+    owner: list[int]
+    color: list[int]
+    edges: InitVar[Mapping[tuple[int, str], int]]
+    succ: list[list[int]] = field(init=False, repr=False)
+    pred: list[list[tuple[int, str]]] = field(init=False, repr=False)
+
+    def __post_init__(self, edges):
+        succ = self.succ = []
+        pred = self.pred = [[] for _ in self.owner]
+        for v, o in enumerate(self.owner):
+            alphabet = self.alphabet1 if o == 1 else self.alphabet2
+            row = [edges[(v, a)] for a in alphabet]
+            succ.append(row)
+            for a, t in zip(alphabet, row):
+                pred[t].append((v, a))
+
+    @property
+    def n(self) -> int:
+        return len(self.owner)
+
+
+def compile_arena(g: GameGraph) -> Arena:
+    """The integer form of the total arena `g`, same vertex ids."""
+    if not g.is_total():
+        raise GameError("solve_parity requires a total arena")
+    owner = [v.owner for v in g.vertices]
+    color = [v.color for v in g.vertices]
+    return Arena(g.objective, g.alphabet1, g.alphabet2, owner, color, g.edges)
 
 
 def _attractor(
-    g: GameGraph,
-    preds,
+    arena: Arena,
     region: set[int],
     targets: set[int],
     player: int,
 ) -> tuple[set[int], dict[int, str]]:
     """Player's attractor to `targets` inside `region`, with a pull strategy
     for the player's vertices added along the way."""
+    owner, succ, pred = arena.owner, arena.succ, arena.pred
     attr = set(targets)
     strat: dict[int, str] = {}
     # remaining region-internal out-degree for the opponent's vertices
-    degree: dict[int, int] = {}
-    for vid in region:
-        if g.vertices[vid].owner != player:
-            degree[vid] = sum(1 for _a, t in g.successors(vid) if t in region)
+    degree = {
+        vid: len([t for t in succ[vid] if t in region])
+        for vid in region
+        if owner[vid] != player
+    }
     queue = deque(sorted(targets))
     while queue:
         w = queue.popleft()
-        for vid, a in preds[w]:
+        for vid, a in pred[w]:
             if vid not in region or vid in attr:
                 continue
-            if g.vertices[vid].owner == player:
+            if owner[vid] == player:
                 attr.add(vid)
                 strat[vid] = a
                 queue.append(vid)
@@ -75,22 +115,24 @@ def _attractor(
     return attr, strat
 
 
-def _first_action_within(g: GameGraph, vid: int, region: set[int]) -> str:
-    for a, tgt in g.successors(vid):
+def _first_action_within(arena: Arena, vid: int, region: set[int]) -> str:
+    alphabet = arena.alphabet1 if arena.owner[vid] == 1 else arena.alphabet2
+    for a, tgt in zip(alphabet, arena.succ[vid]):
         if tgt in region:
             return a
-    raise GameError(f"vertex {g.vertices[vid].name} has no successor in subgame")
+    raise GameError(f"vertex {vid} has no successor in subgame")
 
 
-def _zielonka(g: GameGraph, preds, region: set[int]):
+def _zielonka(arena: Arena, region: set[int]):
     if not region:
         return set(), set(), {}, {}
-    d = max(g.vertices[vid].color for vid in region)
+    color = arena.color
+    d = max(color[vid] for vid in region)
     player = 2 if d % 2 == 0 else 1
     opponent = 3 - player
-    targets = {vid for vid in region if g.vertices[vid].color == d}
-    attr, pull = _attractor(g, preds, region, targets, player)
-    w1, w2, s1, s2 = _zielonka(g, preds, region - attr)
+    targets = {vid for vid in region if color[vid] == d}
+    attr, pull = _attractor(arena, region, targets, player)
+    w1, w2, s1, s2 = _zielonka(arena, region - attr)
     win_sub = w2 if player == 2 else w1
     lose_sub = w1 if player == 2 else w2
     strat_sub = (s2 if player == 2 else s1)
@@ -98,14 +140,14 @@ def _zielonka(g: GameGraph, preds, region: set[int]):
         strat = dict(strat_sub)
         strat.update(pull)
         for vid in targets:
-            if g.vertices[vid].owner == player and vid not in strat:
-                strat[vid] = _first_action_within(g, vid, region)
+            if arena.owner[vid] == player and vid not in strat:
+                strat[vid] = _first_action_within(arena, vid, region)
         if player == 2:
             return set(), set(region), {}, strat
         return set(region), set(), strat, {}
     opp_strat_sub = s1 if player == 2 else s2
-    attr_b, pull_b = _attractor(g, preds, region, lose_sub, opponent)
-    w1b, w2b, s1b, s2b = _zielonka(g, preds, region - attr_b)
+    attr_b, pull_b = _attractor(arena, region, lose_sub, opponent)
+    w1b, w2b, s1b, s2b = _zielonka(arena, region - attr_b)
     opp_strat = dict(s1b if player == 2 else s2b)
     opp_strat.update(pull_b)
     opp_strat.update(opp_strat_sub)
@@ -117,32 +159,34 @@ def _zielonka(g: GameGraph, preds, region: set[int]):
     return my_region, opp_region, my_strat, opp_strat
 
 
-def solve_parity(g: GameGraph) -> ParitySolution:
-    """Regions and positional strategies for both players on a total arena."""
-    if not g.is_total():
-        raise GameError("solve_parity requires a total arena")
-    preds = _predecessors(g)
-    everything = set(range(g.n))
-    if g.objective == REACHABILITY:
-        targets = {v.id for v in g.vertices if v.color == 2}
-        w2, s2 = _attractor(g, preds, everything, targets, 2)
+def solve_parity(g: Union[GameGraph, Arena]) -> ParitySolution:
+    """Regions and positional strategies for both players on a total arena.
+
+    A `GameGraph` is compiled to an `Arena` once; an `Arena` is taken as it
+    is, so its maker vouches that it is total."""
+    arena = compile_arena(g) if isinstance(g, GameGraph) else g
+    owner, n = arena.owner, arena.n
+    everything = set(range(n))
+    if arena.objective == REACHABILITY:
+        targets = {vid for vid in range(n) if arena.color[vid] == 2}
+        w2, s2 = _attractor(arena, everything, targets, 2)
         # a play at a target is already won; any action is as good as any other
         for vid in targets:
-            if g.vertices[vid].owner == 2:
-                s2[vid] = g.alphabet2[0]
+            if owner[vid] == 2:
+                s2[vid] = arena.alphabet2[0]
         w1 = everything - w2
         s1 = {
-            vid: _first_action_within(g, vid, w1)
+            vid: _first_action_within(arena, vid, w1)
             for vid in w1
-            if g.vertices[vid].owner == 1
+            if owner[vid] == 1
         }
         return ParitySolution(frozenset(w1), frozenset(w2), s1, s2)
     limit = sys.getrecursionlimit()
-    need = 4 * g.n + 100
+    need = 4 * n + 100
     if need > limit:
         sys.setrecursionlimit(need)
     try:
-        w1, w2, s1, s2 = _zielonka(g, preds, everything)
+        w1, w2, s1, s2 = _zielonka(arena, everything)
     finally:
         if need > limit:
             sys.setrecursionlimit(limit)

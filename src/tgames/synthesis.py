@@ -7,10 +7,12 @@ Two routes:
   set of (machine, state) pairs still consistent with the observed play.
   Player 1's available moves at a knowledge position are exactly the labels
   some consistent pair would emit; a move both reveals information (the
-  belief shrinks to the consistent subset) and advances the game.  Beliefs
-  are interned to ints, so the arena comes from the same explorer as a
-  machine's product (`product._explore`); other labels concede to its
-  paradise.
+  belief shrinks to the consistent subset) and advances the game.  A belief
+  is one int bitmask, k slices of one bit per machine, so the arena comes
+  from the same explorer as a machine's product (`product._explore`), with
+  the bitmask as the observer state; other labels concede to its paradise.
+  The parity solver gets the arena's integer form; the named `GameGraph`
+  and the decoded beliefs (`BeliefArena`) are built only when read.
 
 * `adaptive_controller` produces the online strategy that wins every k-live
   game: hypothesize machines in enumeration order, track the candidate
@@ -27,6 +29,7 @@ configuration repeats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .graphs import (
@@ -42,6 +45,8 @@ from .solvers import ParitySolution, solve_parity
 from .product import (
     ProductGame,
     _explore,
+    _int_arena,
+    _named_graph,
     build_product,
     reachable_positions,
     winning_lasso,
@@ -61,11 +66,49 @@ DEFAULT_MACHINE_CAP = 10_000_000
 Belief = frozenset[tuple[int, int]]  # (machine ordinal, machine state)
 
 
-@dataclass
 class BeliefArena:
-    graph: GameGraph
-    belief_of: dict[int, tuple[int, Belief]]  # arena vid -> (base vid, belief)
-    machines: dict[int, Transducer]
+    """The knowledge arena of one solve, read by callers, not by the solver.
+
+    `graph` names each position `(<game vertex>,<belief number>)`, beliefs
+    numbered in order of first appearance; `belief_of` maps each position
+    id to (game vertex id, belief as (ordinal, state) pairs).  Both are
+    built on first read.
+    """
+
+    def __init__(
+        self,
+        base: GameGraph,
+        edges: dict[tuple[int, str], int],
+        order: list[tuple[int, int]],
+        machines: dict[int, Transducer],
+    ):
+        self.machines = machines
+        self._base, self._edges, self._order = base, edges, order
+
+    @cached_property
+    def graph(self) -> GameGraph:
+        number: dict[int, int] = {}
+        named = [(u, number.setdefault(x, len(number))) for u, x in self._order]
+        return _named_graph(self._base, self._edges, named)
+
+    @cached_property
+    def belief_of(self) -> dict[int, tuple[int, Belief]]:
+        ordinals = list(self.machines)
+        width = len(ordinals)
+        decoded: dict[int, Belief] = {}
+
+        def pairs(belief: int) -> Belief:
+            if belief not in decoded:
+                out = []
+                rest = belief
+                while rest:
+                    j = (rest & -rest).bit_length() - 1  # lowest set bit
+                    out.append((ordinals[j % width], j // width))
+                    rest &= rest - 1
+                decoded[belief] = frozenset(out)
+            return decoded[belief]
+
+        return {i: (u, pairs(x)) for i, (u, x) in enumerate(self._order)}
 
 
 @dataclass
@@ -88,10 +131,11 @@ def solve_bounded(
     """Can player 2 win against every k-state machine?
 
     Builds the reachable knowledge arena, scored under `g.objective`, and
-    hands it to the parity solver.  Beliefs only ever shrink along a play
-    and the machine pool is finite, so an infinite play consistent at every
-    prefix is consistent with one fixed machine: the arena decides exactly
-    the bounded-environment question.
+    hands its integer form to the parity solver.  Beliefs only ever shrink
+    along a play and the machine pool is finite, so an infinite play
+    consistent at every prefix is consistent with one fixed machine: the
+    arena decides exactly the bounded-environment question.  The named
+    arena and the decoded beliefs in `result.arena` are built only when read.
     """
     if not g.is_total():
         raise GameError("solve_bounded requires a total arena")
@@ -102,35 +146,42 @@ def solve_bounded(
         stream = dedupe_behavioral(stream)
     machines = {canonical_ordinal(t): t for t in stream}
 
-    # beliefs are interned to ids, the observer states of the explorer
-    ids: dict[Belief, int] = {}
-    beliefs: list[Belief] = []
-
-    def intern(belief: Belief) -> int:
-        x = ids.setdefault(belief, len(beliefs))
-        if x == len(beliefs):
-            beliefs.append(belief)
-        return x
+    # A belief is an int of k slices of N bits, N the number of machines:
+    # bit j of slice s is set when machine j may be in state s.  Beliefs are
+    # the observer states of the explorer.
+    width = len(machines)
+    label_mask = dict.fromkeys(g.alphabet1, 0)
+    # moves[b][s * k + s2]: the machines that go from s to s2 on b, in slice s
+    moves = {b: [0] * (k * k) for b in g.alphabet2}
+    start = 0
+    for j, t in enumerate(machines.values()):
+        start |= 1 << (t.initial * width + j)
+        for s in range(k):
+            bit = 1 << (s * width + j)
+            label_mask[t.labels[s]] |= bit
+            for b, s2 in zip(g.alphabet2, t.trans[s]):
+                moves[b][s * k + s2] |= bit
+    shifts = {
+        b: [(m, (i // k) * width, (i % k) * width) for i, m in enumerate(row) if m]
+        for b, row in moves.items()
+    }
 
     def offer(x: int) -> dict[str, int]:
         # a label reveals information: the belief shrinks to the pairs emitting it
-        groups: dict[str, list[tuple[int, int]]] = {}
-        for o, m in beliefs[x]:
-            groups.setdefault(machines[o].labels[m], []).append((o, m))
-        return {a: intern(frozenset(grp)) for a, grp in groups.items()}
+        return {a: y for a, m in label_mask.items() if (y := x & m)}
 
     def step(x: int, b: str) -> int:
-        return intern(frozenset((o, machines[o].step(m, b)) for o, m in beliefs[x]))
+        y = 0
+        for m, low, high in shifts[b]:
+            y |= (x & m) >> low << high
+        return y
 
-    start = intern(frozenset((o, t.initial) for o, t in machines.items()))
-    arena_graph, _positions, order = _explore(g, start, offer, step, belief_cap)
-    if arena_graph is None:
+    edges, _positions, order = _explore(g, start, offer, step, belief_cap)
+    if edges is None:
         return BoundedSolveResult(
             None, reason="belief position count above cap", positions=len(order)
         )
-    solution = solve_parity(arena_graph)
-    belief_of = {i: (u, beliefs[x]) for i, (u, x) in enumerate(order)}
-    arena = BeliefArena(arena_graph, belief_of, machines)
+    solution = solve_parity(_int_arena(g, edges, order))
     strategy = {
         vid: a for vid, a in solution.strategy2.items() if vid < len(order)
     }
@@ -138,7 +189,7 @@ def solve_bounded(
         p2_wins=0 in solution.region2,
         positions=len(order),
         strategy=strategy,
-        arena=arena,
+        arena=BeliefArena(g, edges, order, machines),
         solution=solution,
     )
 

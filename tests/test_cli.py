@@ -265,6 +265,24 @@ class TestEnumerate:
         assert "101 machines exceed cap 100" in capsys.readouterr().out
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ["--start", "5", "--stop", "2"],  # reversed
+            ["--start", "1", "--stop", "1"],  # empty
+            ["--start", "9"],  # past the 2 machines there are
+            ["--stop", "3"],  # past the end
+        ],
+    )
+    def test_bad_window_is_an_input_error(self, window, tmp_path, capsys):
+        out = tmp_path / "machines.txt"
+        assert main(["enumerate", "-k", "1", "--outputs", "a,b", "--inputs", "x",
+                     *window, "-o", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert "REPORT count" not in captured.err
+        assert "ordinal window" in captured.err
+        assert not out.exists()
+
 
 class TestReport:
     def test_schema_and_determinism(self, game_file, tmp_path, capsys):

@@ -5,12 +5,16 @@ import pytest
 
 from tgames import (
     GameError,
+    Vertex,
+    product,
     solvers,
     make_game,
+    solve_bounded,
     solve_one_player,
     solve_parity,
     winner_of_lasso,
 )
+from tgames.solvers import compile_arena
 
 from helpers import (
     brute_force_region2,
@@ -101,6 +105,48 @@ class TestSolveParity:
             s2 = dict(zip(p2, combo))
             for v in sol.region1:
                 assert play_winner(g, v, {**sol.strategy1, **s2}) == 1
+
+
+class TestCompiledArena:
+    @pytest.mark.parametrize("objective", ["parity", "buchi", "reachability"])
+    def test_graph_and_compiled_form_solve_alike(self, objective):
+        rng = random.Random(f"compiled-{objective}")
+        for _ in range(30):
+            g = random_game(rng, rng.randrange(2, 8), rng.randrange(2, 8),
+                            ("a", "b"), ("x", "y"), objective)
+            arena = compile_arena(g)
+            assert arena.n == g.n
+            for v in g.vertices:
+                assert arena.succ[v.id] == [t for _a, t in g.successors(v.id)]
+                into = [(s.id, a) for s in g.vertices
+                        for a, t in g.successors(s.id) if t == v.id]
+                assert arena.pred[v.id] == into
+            assert solve_parity(arena) == solve_parity(g)
+
+    @pytest.mark.parametrize("objective", ["parity", "buchi", "reachability"])
+    def test_knowledge_arena_solves_as_its_graph(self, objective):
+        rng = random.Random(f"knowledge-{objective}")
+        for _ in range(5):
+            g = random_game(rng, 3, 3, ("a", "b"), ("x", "y"), objective)
+            res = solve_bounded(g, 2)
+            assert solve_parity(res.arena.graph) == res.solution
+
+    def test_no_vertex_named_until_the_graph_is_read(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Vertex(*args)
+
+        monkeypatch.setattr(product, "Vertex", counted)
+        g = random_game(random.Random(5), 3, 3, ("a", "b"), ("x", "y"), "buchi")
+        res = solve_bounded(g, 2)
+        assert res.positions > 0
+        assert built == []
+        graph = res.arena.graph
+        assert len(built) == graph.n == res.positions + 2
+        assert res.arena.graph is graph
+        assert len(built) == graph.n
 
 
 class TestSolveOnePlayer:

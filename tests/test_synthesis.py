@@ -1,7 +1,10 @@
 import gc
+import hashlib
+import itertools
 import random
 import sys
 import weakref
+from collections import deque
 
 import pytest
 
@@ -10,8 +13,10 @@ from tgames import (
     Transducer,
     Word,
     adaptive_controller,
+    canonical_ordinal,
     check_k_live,
     count,
+    dedupe_behavioral,
     enumerate_transducers,
     from_ordinal,
     make_game,
@@ -125,6 +130,75 @@ class TestSolveBounded:
                 actions = [s for step in steps for s in (step[1], step[3])]
                 w = Word(tuple(actions[: 2 * cut]), tuple(actions[2 * cut:]))
                 assert winner_of_lasso(w, arena.graph) == 2
+
+
+def one_pair_formulas():
+    """The 575 one-pair formulas of acceptance criterion 2a, in its order."""
+    lits = (1, -1, 2, -2)
+    clauses = [c for r in (1, 2, 3, 4) for c in itertools.combinations(lits, r)]
+    return [
+        QbfFormula(1, cs) for r in (1, 2, 3) for cs in itertools.combinations(clauses, r)
+    ]
+
+
+class TestKnowledgeArena:
+    @staticmethod
+    def _paths(graph):
+        """Action sequence of a breadth-first path to every vertex."""
+        paths = {graph.initial: ()}
+        queue = deque([graph.initial])
+        while queue:
+            v = queue.popleft()
+            for a in graph.acting_alphabet(v):
+                t = graph.edges[(v, a)]
+                if t not in paths:
+                    paths[t] = paths[v] + (a,)
+                    queue.append(t)
+        return paths
+
+    @pytest.mark.parametrize("objective", ["reachability", "buchi", "parity"])
+    def test_beliefs_match_frozenset_oracle(self, objective):
+        rng = random.Random(f"beliefs-{objective}")
+        for _ in range(4):
+            g = random_game(rng, rng.randrange(2, 5), rng.randrange(2, 5), AB, XY, objective)
+            for k in (1, 2):
+                wins = set()
+                for dedupe in (False, True):
+                    stream = enumerate_transducers(k, AB, XY)
+                    if dedupe:
+                        stream = dedupe_behavioral(stream)
+                    pool = {canonical_ordinal(t): t for t in stream}
+                    res = solve_bounded(g, k, dedupe=dedupe)
+                    wins.add(res.p2_wins)
+                    paths = self._paths(res.arena.graph)
+                    assert set(res.arena.belief_of) == set(range(res.positions))
+                    for v in range(res.positions):
+                        # replay the path on the game with plain set semantics
+                        u = g.initial
+                        belief = {(o, t.initial) for o, t in pool.items()}
+                        for i, a in enumerate(paths[v]):
+                            if i % 2 == 0:
+                                belief = {(o, m) for o, m in belief if pool[o].labels[m] == a}
+                            else:
+                                belief = {(o, pool[o].step(m, a)) for o, m in belief}
+                            u = g.edges[(u, a)]
+                        assert belief
+                        assert res.arena.belief_of[v] == (u, frozenset(belief))
+                assert len(wins) == 1
+
+    def test_answers_pinned(self):
+        # every 25th criterion-2a formula; the digest was recorded with the
+        # frozenset beliefs and the GameGraph solver, and criterion 2b's
+        # count rests on these exact strategies
+        digest = hashlib.sha256()
+        for psi in one_pair_formulas()[::25]:
+            res = solve_bounded(qbf_to_game(psi), 2)
+            digest.update(
+                repr((res.p2_wins, res.positions, sorted(res.strategy.items()))).encode()
+            )
+        assert digest.hexdigest() == (
+            "683be2d410bbbc29e25636f68fe0d51d4cd146495bb7df53e22704b119f31926"
+        )
 
 
 class TestBeliefMonotonicity:

@@ -148,6 +148,7 @@ def _cmd_check_live(args, report) -> int:
     )
     stats = {
         "transducers": verdict.stats.transducers_examined,
+        "windows": verdict.stats.windows,
         "k": args.k,
     }
     if verdict.undecided:

@@ -2,33 +2,52 @@
 
 A game is k-live when every finite word that some k-state machine could have
 produced still extends to a play player 2 wins while the environment keeps
-following some k-state machine.  `check_k_live` decides this by sweeping the
-machine enumeration: for each machine it builds the restricted product and
-demands that every position reachable from the initial one is winning for
-player 2.  A single reachable losing position yields a counterexample
-(machine, access word, position) that `verify_witness` re-checks from
-scratch.
+following some k-state machine, that is, when for every machine every
+position of its product reachable from the initial one is winning for
+player 2.
+
+`check_k_live` decides this for a whole window of machines at once.  Bit j
+of an int stands for machine lo + j of the ordinal window [lo, lo + WINDOW),
+and each product position (v, s) carries two such sets: `reach`, the
+machines whose product reaches it, from a forward worklist, and `win`, the
+machines whose product player 2 wins from it, from the objective's
+fixpoint (a least fixpoint for reachability, a greatest over a least one
+for Büchi, and for parity one such Büchi fixpoint per even color inside
+the positions of no larger color).  A player-1 edge carries the machines
+whose state emits its action, a player-2 edge into state s2 the machines
+that step there; `transducers.machine_masks` builds both from the digits
+of the ordinals.  The machines that fail are the union of `reach & ~win`.
+Windows are swept in ordinal order up to the first one holding a failure;
+its lowest failing bit is the first failing machine in ordinal order, whose
+product is then built and solved once (`_scan_machine`) for the
+counterexample (machine, access word, position) that `verify_witness`
+re-checks from scratch.  A window costs O(|V|·k·WINDOW) bits per set.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .graphs import GameError, GameGraph, Word
+from .graphs import REACHABILITY, GameError, GameGraph, Word
 from .product import ProductGame, build_product, p2_winning_positions, reachable_positions
 from .solvers import _bfs_path
 from .transducers import (
     Transducer,
     agrees,
+    behavior_key,
     count,
-    dedupe_behavioral,
     enumerate_transducers,
+    from_ordinal,
+    machine_masks,
 )
 
 DEFAULT_CAP = 10_000_000
+WINDOW = 1 << 14  # machines decided at once, one bit each
 
 
 @dataclass
@@ -45,6 +64,7 @@ class LivenessWitness:
 @dataclass
 class LivenessStats:
     transducers_examined: int = 0
+    windows: int = 0  # ordinal windows swept
     wall_time: float = 0.0
 
 
@@ -61,9 +81,9 @@ class LivenessVerdict:
 
 def _access_word(p: ProductGame, target: tuple[int, int]) -> tuple[str, ...]:
     """Shortest action path from the initial position to `target`; ties are
-    broken by alphabet order.  Never passes through the deviation paradise
-    (it is absorbing), so the word automatically agrees with the machine."""
-    found = _bfs_path(p.graph, p.graph.initial, {p.positions[target]})
+    broken by alphabet order.  Follows the machine's actions only, so the
+    word agrees with the machine."""
+    found = _bfs_path(p.arena, 0, {p.positions[target]})
     if found is None:
         raise GameError("internal error: losing position not reachable")
     steps, _goal = found
@@ -71,6 +91,7 @@ def _access_word(p: ProductGame, target: tuple[int, int]) -> tuple[str, ...]:
 
 
 def _scan_machine(g: GameGraph, t: Transducer) -> Optional[LivenessWitness]:
+    """One machine's counterexample, from its own product, or None."""
     prod = build_product(g, t)
     win, _ = p2_winning_positions(prod)
     for pos in reachable_positions(prod):
@@ -79,20 +100,167 @@ def _scan_machine(g: GameGraph, t: Transducer) -> Optional[LivenessWitness]:
     return None
 
 
-def _scan_chunk(args) -> Optional[tuple[int, dict]]:
-    g, k, lo, hi = args
-    for ordinal, t in enumerate(
-        enumerate_transducers(k, g.alphabet1, g.alphabet2, lo, hi), start=lo
-    ):
-        w = _scan_machine(g, t)
-        if w is not None:
-            return ordinal, {
-                "labels": w.transducer.labels,
-                "trans": w.transducer.trans,
-                "alpha": w.alpha,
-                "position": w.position,
-            }
+def _close(sets: list[int], adj: list[list[tuple[int, int]]]) -> list[int]:
+    """Least fixpoint above `sets` (updated in place) in which each edge
+    (mask, y) of `adj[x]` carries `sets[x] & mask` into `sets[y]`.  Only the
+    bits a node gained since it was last visited are pushed on.  Nodes wait
+    in FIFO order, so each collects bits from many edges before its visit;
+    a LIFO stack made the robot(2) sweep at k = 2 about 70 times slower."""
+    delta = sets[:]
+    work = deque(x for x, d in enumerate(delta) if d)
+    while work:
+        x = work.popleft()
+        d = delta[x]
+        delta[x] = 0
+        for m, y in adj[x]:
+            new = d & m & ~sets[y]
+            if new:
+                if not delta[y]:
+                    work.append(y)
+                delta[y] |= new
+                sets[y] |= new
+    return sets
+
+
+class _Kernel:
+    """The bit-parallel sweep of one game at one k.  Node v * k + s is the
+    product position (v, s); its edges are grouped by target once, and each
+    window gives every group the OR of its label or step masks."""
+
+    def __init__(self, g: GameGraph, k: int):
+        self.g, self.k = g, k
+        n1, n2 = len(g.alphabet1), len(g.alphabet2)
+        self.groups: list[list[tuple[int, list[int]]]] = []
+        # a mask index: label (s, i) is s * n1 + i, step (s, b, s2) follows
+        for v in g.vertices:
+            for s in range(k):
+                into: dict[int, list[int]] = {}
+                if v.owner == 1:
+                    for i, a in enumerate(g.alphabet1):
+                        into.setdefault(g.edges[(v.id, a)] * k + s, []).append(s * n1 + i)
+                else:
+                    for b, sym in enumerate(g.alphabet2):
+                        w = g.edges[(v.id, sym)]
+                        for s2 in range(k):
+                            into.setdefault(w * k + s2, []).append(
+                                k * n1 + (s * n2 + b) * k + s2
+                            )
+                self.groups.append(list(into.items()))
+        self.color = [v.color for v in g.vertices for _s in range(k)]
+
+    def failing(self, lo: int, hi: int) -> int:
+        """The machines of [lo, hi) whose product reaches a position player
+        2 loses from, as a bit mask over the window."""
+        g, k = self.g, self.k
+        labels, steps = machine_masks(k, g.alphabet1, g.alphabet2, lo, hi)
+        flat = [m for row in labels for m in row]
+        flat += [m for row in steps for col in row for m in col]
+        full = (1 << (hi - lo)) - 1
+        nodes = range(len(self.groups))
+        fwd: list[list[tuple[int, int]]] = [[] for _ in nodes]
+        bwd: list[list[tuple[int, int]]] = [[] for _ in nodes]
+        for x, groups in enumerate(self.groups):
+            for y, members in groups:
+                m = flat[members[0]]  # shared, not copied, when it stands alone
+                for i in members[1:]:
+                    m |= flat[i]
+                if m:
+                    fwd[x].append((m, y))
+                    bwd[y].append((m, x))
+        reach = [0] * len(self.groups)
+        reach[g.initial * k] = full
+        _close(reach, fwd)
+        win = self._win(fwd, bwd, full)
+        fail = 0
+        for r, w in zip(reach, win):
+            fail |= r & ~w
+        return fail
+
+    def _win(self, fwd, bwd, full) -> list[int]:
+        """Per node, the machines whose product player 2 wins from it."""
+        color = self.color
+        if self.g.objective == REACHABILITY:
+            return _close([full if c == 2 else 0 for c in color], bwd)
+        even = sorted({c for c in color if c % 2 == 0})
+        anchors = [0] * len(color)
+        for c in even:
+            inside = [d <= c for d in color]
+            adj = bwd
+            if not all(inside):
+                adj = [[(m, y) for m, y in row if inside[y]] for row in bwd]
+            for x, z in enumerate(self._buchi(fwd, adj, inside, c, full)):
+                anchors[x] |= z
+        if len(even) == 1 and max(color) <= even[0]:
+            return anchors  # one Büchi set over every node: already closed
+        return _close(anchors, bwd)
+
+    def _buchi(self, fwd, adj, inside, c, full) -> list[int]:
+        """nu Z. mu Y. (C ∩ Pre(Z)) ∪ Pre(Y) inside the nodes `inside`, C
+        the nodes of color c: the machines that can visit color c forever
+        without leaving `inside`."""
+        goals = [x for x, d in enumerate(self.color) if d == c]
+        z = [full if i else 0 for i in inside]
+        while True:
+            y = [0] * len(z)
+            for x in goals:
+                pre = 0
+                for m, t in fwd[x]:
+                    pre |= m & z[t]
+                y[x] = pre
+            _close(y, adj)
+            if y == z:
+                return z
+            z = y
+
+
+def _sweep(
+    g: GameGraph, k: int, lo: int, hi: int, stats: LivenessStats, dedupe: bool = False
+) -> Optional[int]:
+    """The first ordinal in [lo, hi) whose machine fails, or None.
+
+    Windows are decided in ordinal order and the sweep stops at the first
+    one holding a failure.  Each window adds to `stats.windows` and counts
+    the machines up to the first failure into `stats.transducers_examined`;
+    with `dedupe` only the first machine of each behavior class counts.
+    The first failing machine is always such a first one, because failing
+    depends only on behavior."""
+    kernel = _Kernel(g, k)
+    stream = enumerate_transducers(k, g.alphabet1, g.alphabet2, lo, hi) if dedupe else None
+    seen: set = set()
+    for start in range(lo, hi, WINDOW):
+        stop = min(start + WINDOW, hi)
+        stats.windows += 1
+        fail = kernel.failing(start, stop)
+        first = (fail & -fail).bit_length() - 1  # -1 when nothing fails
+        upto = first + 1 if fail else stop - start
+        if stream is None:
+            stats.transducers_examined += upto
+        else:
+            for t in itertools.islice(stream, upto):
+                key = behavior_key(t)
+                if key not in seen:
+                    seen.add(key)
+                    stats.transducers_examined += 1
+        if fail:
+            return start + first
     return None
+
+
+def _witness(g: GameGraph, k: int, ordinal: int) -> LivenessWitness:
+    w = _scan_machine(g, from_ordinal(ordinal, k, g.alphabet1, g.alphabet2))
+    if w is None:
+        raise GameError(f"internal error: machine {ordinal} failed in the sweep only")
+    return w
+
+
+def _scan_chunk(args) -> tuple[int, Optional[tuple[int, LivenessWitness]]]:
+    """Windows swept and (first failing ordinal, witness) in [lo, hi)."""
+    g, k, lo, hi = args
+    stats = LivenessStats()
+    ordinal = _sweep(g, k, lo, hi, stats)
+    if ordinal is None:
+        return stats.windows, None
+    return stats.windows, (ordinal, _witness(g, k, ordinal))
 
 
 def check_k_live(
@@ -104,15 +272,17 @@ def check_k_live(
     deterministic: bool = True,
     force: bool = False,
 ) -> LivenessVerdict:
-    """Sweep all k-state machines; not-live as soon as one admits a
-    reachable position that player 2 loses under the arena's objective.
+    """Sweep all k-state machines; not-live when one admits a reachable
+    position that player 2 loses under the arena's objective.  The witness
+    is the first such machine in ordinal order.
 
     A machine count above `cap` yields an undecided verdict instead of a
-    silent multi-day run, unless `force` is set.  `dedupe` restricts the
-    sweep to one machine per behavior class (the verdict only depends on
-    induced strategies, so this is safe); `jobs` spreads ordinal chunks over
-    worker processes.  The sweep runs sequentially, whatever `jobs` says,
-    when `dedupe` is set or there are at most 64 machines.
+    silent multi-day run, unless `force` is set.  `dedupe` counts one
+    machine per behavior class in `stats.transducers_examined` (the verdict
+    and witness only depend on induced strategies, so they do not change);
+    `jobs` spreads ordinal chunks over worker processes.  The sweep runs
+    sequentially, whatever `jobs` says, when `dedupe` is set or there are at
+    most 64 machines.
     """
     if k < 1:
         raise GameError("k must be >= 1")
@@ -130,17 +300,13 @@ def check_k_live(
         stats.wall_time = time.perf_counter() - started
         return verdict
 
-    stream = enumerate_transducers(k, g.alphabet1, g.alphabet2)
-    if dedupe:
-        stream = dedupe_behavioral(stream)
-    for t in stream:
-        stats.transducers_examined += 1
-        w = _scan_machine(g, t)
-        if w is not None:
-            stats.wall_time = time.perf_counter() - started
-            return LivenessVerdict(live=False, witness=w, stats=stats)
+    ordinal = _sweep(g, k, 0, total, stats, dedupe)
+    if ordinal is None:
+        verdict = LivenessVerdict(live=True, stats=stats)
+    else:
+        verdict = LivenessVerdict(live=False, witness=_witness(g, k, ordinal), stats=stats)
     stats.wall_time = time.perf_counter() - started
-    return LivenessVerdict(live=True, stats=stats)
+    return verdict
 
 
 def _check_parallel(g, k, total, jobs, deterministic, stats) -> LivenessVerdict:
@@ -153,12 +319,13 @@ def _check_parallel(g, k, total, jobs, deterministic, stats) -> LivenessVerdict:
         for _ in range(min(jobs * 2, len(ranges))):
             i = next(it)
             pending[pool.submit(_scan_chunk, (g, k, *ranges[i]))] = i
-        found: Optional[tuple[int, dict]] = None
+        found: Optional[tuple[int, LivenessWitness]] = None
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for fut in done:
                 i = pending.pop(fut)
-                results[i] = fut.result()
+                windows, results[i] = fut.result()
+                stats.windows += windows
                 stats.transducers_examined += ranges[i][1] - ranges[i][0]
                 if results[i] is not None:
                     cand = results[i]
@@ -180,13 +347,7 @@ def _check_parallel(g, k, total, jobs, deterministic, stats) -> LivenessVerdict:
             fut.cancel()
     if found is None:
         return LivenessVerdict(live=True, stats=stats)
-    _ordinal, payload = found
-    t = Transducer(g.alphabet1, g.alphabet2, payload["labels"], payload["trans"])
-    return LivenessVerdict(
-        live=False,
-        witness=LivenessWitness(t, tuple(payload["alpha"]), tuple(payload["position"])),
-        stats=stats,
-    )
+    return LivenessVerdict(live=False, witness=found[1], stats=stats)
 
 
 def verify_witness(g: GameGraph, k: int, w: LivenessWitness) -> bool:

@@ -10,13 +10,15 @@ The product is one case of `_explore`, which crosses an arena with any
 deterministic observer whose states are ints: a machine here, and the
 subset construction over all k-state machines in `synthesis.solve_bounded`
 (whose states are belief bitmasks).  It numbers the reachable (vertex,
-state) pairs in breadth-first order and writes the edge map by vertex id,
-naming nothing.  `_named_graph` turns that into a named `GameGraph`, which
-`build_product` does at once; `_int_arena` turns it into the parity
-solver's integer form, which is all `solve_bounded` needs.
+state) pairs in breadth-first order and writes one successor row per
+vertex id, naming nothing.  `_int_arena` reads the rows as the parity
+solver's integer form, which is all `solve_bounded` needs; `_named_graph`
+names them as a `GameGraph`, which a product builds only when its `graph`
+is first read.
 
 Because player 1 has no real choice left, each product solves in polynomial
-time via `solve_one_player` on the on-policy restriction.  Witness lassos
+time via `solve_one_player` on its on-policy rows (`ProductGame.arena`),
+where a player-1 position keeps only the machine's action.  Witness lassos
 are built only when one is first read.
 """
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .graphs import GameError, GameGraph, Lasso, Vertex, Word
@@ -37,40 +39,72 @@ Position = tuple[int, int]  # (base vertex id, machine state)
 TOP_NAMES = ("~top_a", "~top_b")  # player-2 paradise absorbing deviations
 
 
-@dataclass
 class ProductGame:
-    base: GameGraph
-    transducer: Transducer
-    graph: GameGraph  # realized arena; total
-    positions: dict[Position, int]  # position -> graph vertex id
-    of_vertex: dict[int, Position]  # inverse, excluding the top pair
-    top: tuple[int, int]  # graph ids of the paradise pair (owner 1, owner 2)
-    initial: Position
-    order: tuple[Position, ...]  # reachable positions, in id order
-    _solution: Optional[tuple[frozenset[int], Mapping[int, Lasso]]] = field(
-        default=None, repr=False
-    )
+    """One machine's product, as the explorer left it.
 
-    def policy_view(self) -> GameGraph:
-        """Copy of the arena keeping only the machine's action at player-1
-        positions (the top pair keeps a single arbitrary action).  Only
-        off-policy moves and the top pair's own moves enter `top[1]`."""
-        top_a, top_b = self.top
-        edges = {key: t for key, t in self.graph.edges.items() if t != top_b}
-        edges[(top_a, self.graph.alphabet1[0])] = top_b
-        return GameGraph(
-            self.graph.objective,
-            self.graph.alphabet1,
-            self.graph.alphabet2,
-            self.graph.vertices,
-            edges,
-            self.graph.initial,
-            _by_name=self.graph._by_name,
-        )
+    `positions` maps each reachable (vertex, state) pair to its id and
+    `order` lists them by id; the paradise pair `top` takes the last two
+    ids.  The solvers read `arena`, the on-policy rows; the named arena
+    `graph` and the inverse map `of_vertex` are built on first read.
+    """
+
+    def __init__(
+        self,
+        base: GameGraph,
+        transducer: Transducer,
+        rows: list[list[int]],
+        positions: dict[Position, int],
+        order: Sequence[Position],
+    ):
+        self.base = base
+        self.transducer = transducer
+        self.positions = positions
+        self.order = tuple(order)
+        self.initial = self.order[0]
+        self.top = (len(order), len(order) + 1)
+        self._rows = rows
+        self._solution: Optional[tuple[frozenset[int], Mapping[int, Lasso]]] = None
+
+    @cached_property
+    def graph(self) -> GameGraph:
+        """The realized arena, total, positions named `(<vertex>,<state>)`."""
+        return _named_graph(self.base, self._rows, self.order)
+
+    @cached_property
+    def of_vertex(self) -> dict[int, Position]:
+        """Graph vertex id -> position, excluding the paradise pair."""
+        return dict(enumerate(self.order))
+
+    @cached_property
+    def arena(self) -> Arena:
+        """The arena's rows with player 1 pinned to the machine: a player-1
+        position keeps only the machine's action, player-2 positions keep
+        every action, and the paradise pair keeps one player-1 move into
+        `top[1]` and every player-2 move back."""
+        g, rows, t = self.base, self._rows, self.transducer
+        alphabet2, vertices = g.alphabet2, g.vertices
+        pinned = [(a,) for a in t.labels]
+        at = [t.outputs.index(a) for a in t.labels]
+        owner, color, succ, acts = [], [], [], []
+        for (u, x), row in zip(self.order, rows):
+            v = vertices[u]
+            owner.append(v.owner)
+            color.append(v.color)
+            if v.owner == 1:
+                succ.append([row[at[x]]])
+                acts.append(pinned[x])
+            else:
+                succ.append(row)
+                acts.append(alphabet2)
+        owner += (1, 2)
+        color += (2, 2)
+        succ += (rows[-2][:1], rows[-1])
+        acts += (g.alphabet1[:1], alphabet2)
+        return Arena(g.objective, g.alphabet1, alphabet2, owner, color, succ, acts)
 
     def solution(self) -> tuple[frozenset[int], Mapping[int, Lasso]]:
         if self._solution is None:
-            self._solution = solve_one_player(self.policy_view())
+            self._solution = solve_one_player(self.arena)
         return self._solution
 
 
@@ -80,40 +114,45 @@ def _explore(
     offer: Callable[[int], Mapping[str, int]],
     step: Callable[[int, str], int],
     cap: float = math.inf,
-) -> tuple[Optional[dict[tuple[int, str], int]], dict[Position, int], list[Position]]:
+) -> tuple[Optional[list[list[int]]], dict[Position, int], list[Position]]:
     """Cross the total arena `g` with a deterministic observer.
 
     Numbers the (base vertex, state) pairs reachable from (initial vertex,
     `start`) in breadth-first order.  At a player-1 position with state x,
     `offer(x)` maps each action the observer allows to its next state; every
     other action concedes to the `TOP_NAMES` paradise on the last two ids.
-    Player-2 actions advance the state by `step(x, b)`.  Returns the edge
-    map by vertex id, the position ids and the positions in id order; no
-    position is named (`_named_graph` does that).  Exploration stops as soon
-    as more than `cap` positions exist; the edge map is then None.
+    Player-2 actions advance the state by `step(x, b)`.  Returns the
+    successor rows by vertex id, each in its owner's alphabet order, the
+    position ids and the positions in id order; no position is named
+    (`_named_graph` does that).  Exploration stops as soon as more than
+    `cap` positions exist; the rows are then None.
     """
     first = (g.initial, start)
     positions: dict[Position, int] = {first: 0}
     order: list[Position] = [first]
-    edges: dict[tuple[int, str], int] = {}
-    off: list[tuple[int, str]] = []  # into the paradise, id not yet known
+    rows: list[list[int]] = []
+    off: list[list[int]] = []  # rows with a move into the paradise, marked -1
 
     vertices, base_edges = g.vertices, g.edges
     i = 0
     while i < len(order) <= cap:  # stop once more than `cap` positions exist
         u, x = order[i]
+        row = []
         if vertices[u].owner == 1:
             moves = offer(x)
             for a in g.alphabet1:
-                if a not in moves:
-                    off.append((i, a))
+                y = moves.get(a)
+                if y is None:
+                    row.append(-1)
                     continue
-                pos = (base_edges[(u, a)], moves[a])
+                pos = (base_edges[(u, a)], y)
                 j = positions.get(pos)
                 if j is None:
                     j = positions[pos] = len(order)
                     order.append(pos)
-                edges[(i, a)] = j
+                row.append(j)
+            if len(row) != len(moves):
+                off.append(row)
         else:
             for b in g.alphabet2:
                 pos = (base_edges[(u, b)], step(x, b))
@@ -121,23 +160,22 @@ def _explore(
                 if j is None:
                     j = positions[pos] = len(order)
                     order.append(pos)
-                edges[(i, b)] = j
+                row.append(j)
+        rows.append(row)
         i += 1
     if len(order) > cap:
         return None, positions, order
 
     top_a, top_b = len(order), len(order) + 1
-    for key in off:
-        edges[key] = top_b
-    for a in g.alphabet1:
-        edges[(top_a, a)] = top_b
-    for b in g.alphabet2:
-        edges[(top_b, b)] = top_a
-    return edges, positions, order
+    for row in off:
+        row[:] = [top_b if j < 0 else j for j in row]
+    rows.append([top_b] * len(g.alphabet1))
+    rows.append([top_a] * len(g.alphabet2))
+    return rows, positions, order
 
 
 def _named_graph(
-    g: GameGraph, edges: dict[tuple[int, str], int], order: Sequence[Position]
+    g: GameGraph, rows: list[list[int]], order: Sequence[Position]
 ) -> GameGraph:
     """The explorer's arena as a `GameGraph`: position (u, x) is named
     `(<name of u>,<x>)` and keeps u's owner and color."""
@@ -147,17 +185,21 @@ def _named_graph(
         vertices.append(Vertex(i, f"({v.name},{x})", v.owner, v.color))
     vertices.append(Vertex(len(order), TOP_NAMES[0], 1, 2))
     vertices.append(Vertex(len(order) + 1, TOP_NAMES[1], 2, 2))
+    edges = {
+        (v.id, a): t
+        for v, row in zip(vertices, rows)
+        for a, t in zip(g.alphabet1 if v.owner == 1 else g.alphabet2, row)
+    }
     return GameGraph(g.objective, g.alphabet1, g.alphabet2, tuple(vertices), edges, 0)
 
 
-def _int_arena(
-    g: GameGraph, edges: dict[tuple[int, str], int], order: Sequence[Position]
-) -> Arena:
+def _int_arena(g: GameGraph, rows: list[list[int]], order: Sequence[Position]) -> Arena:
     """The explorer's arena in the solver's integer form, with no names."""
     vertices = g.vertices
     owner = [vertices[u].owner for u, _x in order] + [1, 2]
     color = [vertices[u].color for u, _x in order] + [2, 2]
-    return Arena(g.objective, g.alphabet1, g.alphabet2, owner, color, edges)
+    acts = [g.alphabet1 if o == 1 else g.alphabet2 for o in owner]
+    return Arena(g.objective, g.alphabet1, g.alphabet2, owner, color, rows, acts)
 
 
 def build_product(g: GameGraph, t: Transducer) -> ProductGame:
@@ -169,17 +211,11 @@ def build_product(g: GameGraph, t: Transducer) -> ProductGame:
     if not g.is_total():
         raise GameError("build_product requires a total arena (run complete first)")
     offer = [{label: m} for m, label in enumerate(t.labels)].__getitem__
-    edges, positions, order = _explore(g, t.initial, offer, t.step)
-    return ProductGame(
-        base=g,
-        transducer=t,
-        graph=_named_graph(g, edges, order),
-        positions=positions,
-        of_vertex=dict(enumerate(order)),
-        top=(len(order), len(order) + 1),
-        initial=order[0],
-        order=tuple(order),
+    by_input = [dict(zip(t.inputs, row)) for row in t.trans]
+    rows, positions, order = _explore(
+        g, t.initial, offer, lambda x, b: by_input[x][b]
     )
+    return ProductGame(g, t, rows, positions, order)
 
 
 def reachable_positions(p: ProductGame) -> tuple[Position, ...]:

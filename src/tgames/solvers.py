@@ -4,15 +4,18 @@
 positional strategies together with the two regions.  Büchi games are parity
 games over colors {1, 2}; a reachability game is won by player 2 exactly on
 its attractor to the color-2 vertices.  It runs on `Arena`, an integer form
-of a total arena: owner and color lists, successor rows in alphabet order
-and predecessor rows in vertex order.  A `GameGraph` is compiled to that
-form once per call (`compile_arena`); the knowledge arena is built in it
+of an arena: owner and color lists, successor rows in alphabet order and
+predecessor rows in vertex order.  A `GameGraph` is compiled to that form
+once per call (`compile_arena`); the knowledge arena is built in it
 directly.
 
 `solve_one_player` handles arenas in which player 1 has exactly one outgoing
-edge per vertex (a deterministic environment) in polynomial time: one
-backward search gives the region, and the witness lasso for a vertex player
-2 wins from is built only when it is first read.
+edge per vertex (a deterministic environment) in polynomial time.  It runs
+on rows too: a machine's product hands it rows whose player-1 vertices keep
+only the machine's action, and a `GameGraph` is checked and compiled to
+such rows once.  Tarjan's algorithm finds the cycles, one backward search
+gives the region, and the witness lasso for a vertex player 2 wins from is
+built only when it is first read.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from __future__ import annotations
 import sys
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass, field
-from typing import Callable, Iterator, Sequence, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .graphs import GameError, GameGraph, Lasso, REACHABILITY
 
@@ -39,12 +43,14 @@ class ParitySolution:
 
 @dataclass
 class Arena:
-    """Integer form of a total arena, the one form the parity solver runs on.
+    """Integer form of an arena, the one form the solvers run on.
 
-    Vertex v has owner `owner[v]` and color `color[v]`.  Both row lists are
-    read off the total (vertex id, action) edge map: `succ[v]` lists v's
-    targets in the order of its owner's alphabet, and `pred[t]` lists the
-    (source, action) pairs into t, sources in vertex order.
+    Vertex v has owner `owner[v]` and color `color[v]`; its edges go to the
+    targets `succ[v]` on the actions `acts[v]`, in alphabet order.  In a
+    total arena every row holds the owner's whole alphabet; the one-player
+    solver also takes rows in which each player-1 vertex keeps one edge.
+    `pred[t]` lists the (source, action) pairs into t, sources in vertex
+    order; it is built on first read.
     """
 
     objective: str
@@ -52,19 +58,16 @@ class Arena:
     alphabet2: tuple[str, ...]
     owner: list[int]
     color: list[int]
-    edges: InitVar[Mapping[tuple[int, str], int]]
-    succ: list[list[int]] = field(init=False, repr=False)
-    pred: list[list[tuple[int, str]]] = field(init=False, repr=False)
+    succ: list[list[int]] = field(repr=False)
+    acts: list[tuple[str, ...]] = field(repr=False)
 
-    def __post_init__(self, edges):
-        succ = self.succ = []
-        pred = self.pred = [[] for _ in self.owner]
-        for v, o in enumerate(self.owner):
-            alphabet = self.alphabet1 if o == 1 else self.alphabet2
-            row = [edges[(v, a)] for a in alphabet]
-            succ.append(row)
-            for a, t in zip(alphabet, row):
+    @cached_property
+    def pred(self) -> list[list[tuple[int, str]]]:
+        pred: list[list[tuple[int, str]]] = [[] for _ in self.owner]
+        for v, (row, acts) in enumerate(zip(self.succ, self.acts)):
+            for a, t in zip(acts, row):
                 pred[t].append((v, a))
+        return pred
 
     @property
     def n(self) -> int:
@@ -77,7 +80,9 @@ def compile_arena(g: GameGraph) -> Arena:
         raise GameError("solve_parity requires a total arena")
     owner = [v.owner for v in g.vertices]
     color = [v.color for v in g.vertices]
-    return Arena(g.objective, g.alphabet1, g.alphabet2, owner, color, g.edges)
+    acts = [g.alphabet1 if o == 1 else g.alphabet2 for o in owner]
+    succ = [[g.edges[(v, a)] for a in row] for v, row in enumerate(acts)]
+    return Arena(g.objective, g.alphabet1, g.alphabet2, owner, color, succ, acts)
 
 
 def _attractor(
@@ -116,8 +121,7 @@ def _attractor(
 
 
 def _first_action_within(arena: Arena, vid: int, region: set[int]) -> str:
-    alphabet = arena.alphabet1 if arena.owner[vid] == 1 else arena.alphabet2
-    for a, tgt in zip(alphabet, arena.succ[vid]):
+    for a, tgt in zip(arena.acts[vid], arena.succ[vid]):
         if tgt in region:
             return a
     raise GameError(f"vertex {vid} has no successor in subgame")
@@ -193,49 +197,52 @@ def solve_parity(g: Union[GameGraph, Arena]) -> ParitySolution:
     return ParitySolution(frozenset(w1), frozenset(w2), s1, s2)
 
 
-def _tarjan_sccs(vertices: set[int], succ) -> list[list[int]]:
-    """Iterative Tarjan over the vertex subset; succ(v) yields targets."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def _tarjan_sccs(inside: Sequence[bool], succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan over the vertices v with `inside[v]`, roots in id
+    order, edges in row order; edges leaving the subset are ignored."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
-    for root in sorted(vertices):
-        if root in index:
+    for root in range(n):
+        if not inside[root] or index[root] >= 0:
             continue
-        work = [(root, iter(succ(root)))]
+        work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             v, it = work[-1]
             advanced = False
             for w in it:
-                if w not in vertices:
+                if not inside[w]:
                     continue
-                if w not in index:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ(w))))
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     advanced = True
                     break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             work.pop()
             if work:
                 pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
+                if low[v] < low[pv]:
+                    low[pv] = low[v]
             if low[v] == index[v]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == v:
                         break
@@ -243,16 +250,17 @@ def _tarjan_sccs(vertices: set[int], succ) -> list[list[int]]:
     return sccs
 
 
-def _bfs_path(g: GameGraph, src: int, goals: set[int], allowed=None):
+def _bfs_path(arena: Arena, src: int, goals: set[int], allowed=None):
     """Shortest (vertex, action) path from src to any goal; ties broken by
-    alphabet order.  Returns (steps, goal) or None."""
+    row (alphabet) order.  Returns (steps, goal) or None."""
     if src in goals:
         return [], src
+    succ, acts = arena.succ, arena.acts
     parent: dict[int, tuple[int, str]] = {src: (-1, "")}
     queue = deque([src])
     while queue:
         v = queue.popleft()
-        for a, t in g.successors(v):
+        for a, t in zip(acts[v], succ[v]):
             if allowed is not None and t not in allowed:
                 continue
             if t in parent:
@@ -271,15 +279,15 @@ def _bfs_path(g: GameGraph, src: int, goals: set[int], allowed=None):
     return None
 
 
-def _shortest_cycle(g: GameGraph, u: int, allowed: set[int]):
+def _shortest_cycle(arena: Arena, u: int, allowed: set[int]):
     """Shortest nonempty (vertex, action) cycle through u inside `allowed`."""
     best = None
-    for a, t in g.successors(u):
+    for a, t in zip(arena.acts[u], arena.succ[u]):
         if t not in allowed:
             continue
         if t == u:
             return [(u, a)]
-        found = _bfs_path(g, t, {u}, allowed)
+        found = _bfs_path(arena, t, {u}, allowed)
         if found is not None:
             steps, _ = found
             cand = [(u, a)] + steps
@@ -315,73 +323,83 @@ class LazyMap(Mapping):
         return len(self._keys)
 
 
-def solve_one_player(g: GameGraph) -> tuple[frozenset[int], Mapping[int, Lasso]]:
+def _one_player_rows(g: GameGraph) -> Arena:
+    """Rows of `g` after checking that every owner-1 vertex has exactly
+    one outgoing edge."""
+    succ, acts = [], []
+    for v in g.vertices:
+        pairs = list(g.successors(v.id))
+        if v.owner == 1 and len(pairs) != 1:
+            raise GameError(
+                f"owner-1 vertex {v.name!r} has out-degree {len(pairs)}, expected 1"
+            )
+        acts.append(tuple(a for a, _t in pairs))
+        succ.append([t for _a, t in pairs])
+    owner = [v.owner for v in g.vertices]
+    color = [v.color for v in g.vertices]
+    return Arena(g.objective, g.alphabet1, g.alphabet2, owner, color, succ, acts)
+
+
+def solve_one_player(
+    g: Union[GameGraph, Arena],
+) -> tuple[frozenset[int], Mapping[int, Lasso]]:
     """Player-2 winning set plus witness lassos when player 1 never chooses.
 
-    Requires every owner-1 vertex to have exactly one outgoing edge; the
-    arena degenerates to a graph in which only player 2 branches, so winning
-    is reachability of a suitable vertex/cycle.  The region comes from one
-    backward search from those goal vertices.  The lassos are a read-only
-    mapping keyed by the winning vertices in id order; each lasso is built
-    on first access.
+    Every owner-1 vertex must have exactly one outgoing edge; the arena
+    degenerates to a graph in which only player 2 branches, so winning is
+    reachability of a suitable vertex/cycle.  A `GameGraph` has its
+    out-degrees checked and is compiled to rows once; an `Arena` is taken
+    as it is, so its maker vouches for the out-degrees.  The region comes
+    from one backward search from the goal vertices.  The lassos are a
+    read-only mapping keyed by the winning vertices in id order; each lasso
+    is built on first access.
     """
-    for v in g.vertices:
-        if v.owner == 1:
-            deg = sum(1 for _ in g.successors(v.id))
-            if deg != 1:
-                raise GameError(
-                    f"owner-1 vertex {v.name!r} has out-degree {deg}, expected 1"
-                )
-
-    all_ids = {v.id for v in g.vertices}
-    good: dict[int, set[int]] = {}  # anchor vertex -> allowed set for its cycle
-    if g.objective == REACHABILITY:
-        for v in g.vertices:
-            if v.color == 2:
-                good[v.id] = all_ids
+    arena = _one_player_rows(g) if isinstance(g, GameGraph) else g
+    succ, color = arena.succ, arena.color
+    good: dict[int, Optional[set[int]]] = {}  # anchor -> allowed set for its cycle
+    if arena.objective == REACHABILITY:
+        good = {v: None for v, c in enumerate(color) if c == 2}
     else:
-        colors = sorted({v.color for v in g.vertices if v.color % 2 == 0})
-        for c in colors:
-            allowed = {v.id for v in g.vertices if v.color <= c}
-            sccs = _tarjan_sccs(allowed, lambda v: (t for _a, t in g.successors(v)))
-            for comp in sccs:
-                nontrivial = len(comp) > 1 or any(
-                    t == comp[0] for _a, t in g.successors(comp[0])
-                )
-                if not nontrivial:
-                    continue
-                inside = set(comp)  # Tarjan stays within `allowed`
+        for c in sorted({c for c in color if c % 2 == 0}):
+            inside = [d <= c for d in color]
+            for comp in _tarjan_sccs(inside, succ):
+                if len(comp) == 1 and comp[0] not in succ[comp[0]]:
+                    continue  # trivial: no cycle through it
+                members = set(comp)  # Tarjan stays within `inside`
                 for u in comp:
-                    if g.vertices[u].color == c and u not in good:
-                        good[u] = inside
+                    if color[u] == c:
+                        good[u] = members
 
     goals = set(good)
-    preds: dict[int, list[int]] = {}
-    for (v, _a), t in g.edges.items():
-        preds.setdefault(t, []).append(v)
+    # sources only: the search needs no actions, and skipping the pairs of
+    # `arena.pred` saves about a tenth of a controller move
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for t in row:
+            pred[t].append(v)
     winning = set(goals)
     queue = deque(goals)
     while queue:
-        for v in preds.get(queue.popleft(), ()):
+        for v in pred[queue.popleft()]:
             if v not in winning:
                 winning.add(v)
                 queue.append(v)
 
     def lasso(vid: int) -> Lasso:
-        steps, u = _bfs_path(g, vid, goals)
-        if g.objective == REACHABILITY:
+        steps, u = _bfs_path(arena, vid, goals)
+        if arena.objective == REACHABILITY:
             # color 2 already reached at u; close any cycle afterwards
             tail: list[tuple[int, str]] = []
             seen_at = {u: 0}
             cur = u
             while True:
-                a, t = next(iter(g.successors(cur)))
+                a, t = arena.acts[cur][0], succ[cur][0]
                 tail.append((cur, a))
                 if t in seen_at:
                     cut = seen_at[t]
                     return Lasso(tuple(steps) + tuple(tail[:cut]), tuple(tail[cut:]))
                 seen_at[t] = len(tail)
                 cur = t
-        return Lasso(tuple(steps), tuple(_shortest_cycle(g, u, good[u])))
+        return Lasso(tuple(steps), tuple(_shortest_cycle(arena, u, good[u])))
 
     return frozenset(winning), LazyMap(sorted(winning), lasso)

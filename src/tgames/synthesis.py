@@ -58,6 +58,7 @@ from .transducers import (
     dedupe_behavioral,
     enumerate_transducers,
     from_ordinal,
+    machine_masks,
 )
 
 DEFAULT_BELIEF_CAP = 1_000_000
@@ -71,25 +72,35 @@ class BeliefArena:
 
     `graph` names each position `(<game vertex>,<belief number>)`, beliefs
     numbered in order of first appearance; `belief_of` maps each position
-    id to (game vertex id, belief as (ordinal, state) pairs).  Both are
-    built on first read.
+    id to (game vertex id, belief as (ordinal, state) pairs); `machines`
+    maps each ordinal in the pool, in bit order, to its machine.  All three
+    are built on first read.
     """
 
     def __init__(
         self,
         base: GameGraph,
-        edges: dict[tuple[int, str], int],
+        rows: list[list[int]],
         order: list[tuple[int, int]],
-        machines: dict[int, Transducer],
+        k: int,
+        machines: Optional[dict[int, Transducer]] = None,
     ):
-        self.machines = machines
-        self._base, self._edges, self._order = base, edges, order
+        self._base, self._rows, self._order = base, rows, order
+        self._k, self._machines = k, machines
+
+    @cached_property
+    def machines(self) -> dict[int, Transducer]:
+        """The pool given at construction, or every k-state machine."""
+        if self._machines is not None:
+            return self._machines
+        g = self._base
+        return dict(enumerate(enumerate_transducers(self._k, g.alphabet1, g.alphabet2)))
 
     @cached_property
     def graph(self) -> GameGraph:
         number: dict[int, int] = {}
         named = [(u, number.setdefault(x, len(number))) for u, x in self._order]
-        return _named_graph(self._base, self._edges, named)
+        return _named_graph(self._base, self._rows, named)
 
     @cached_property
     def belief_of(self) -> dict[int, tuple[int, Belief]]:
@@ -139,28 +150,43 @@ def solve_bounded(
     """
     if not g.is_total():
         raise GameError("solve_bounded requires a total arena")
-    if count(k, g.alphabet1, g.alphabet2) > machine_cap:
+    total = count(k, g.alphabet1, g.alphabet2)
+    if total > machine_cap:
         return BoundedSolveResult(None, reason="machine count above cap")
-    stream = enumerate_transducers(k, g.alphabet1, g.alphabet2)
-    if dedupe:
-        stream = dedupe_behavioral(stream)
-    machines = {canonical_ordinal(t): t for t in stream}
 
     # A belief is an int of k slices of N bits, N the number of machines:
     # bit j of slice s is set when machine j may be in state s.  Beliefs are
-    # the observer states of the explorer.
-    width = len(machines)
-    label_mask = dict.fromkeys(g.alphabet1, 0)
-    # moves[b][s * k + s2]: the machines that go from s to s2 on b, in slice s
-    moves = {b: [0] * (k * k) for b in g.alphabet2}
-    start = 0
-    for j, t in enumerate(machines.values()):
-        start |= 1 << (t.initial * width + j)
-        for s in range(k):
-            bit = 1 << (s * width + j)
-            label_mask[t.labels[s]] |= bit
-            for b, s2 in zip(g.alphabet2, t.trans[s]):
-                moves[b][s * k + s2] |= bit
+    # the observer states of the explorer.  label_mask[a] holds the pairs
+    # emitting a; moves[b][s * k + s2] the machines that go from s to s2 on
+    # b, in slice s.
+    machines: Optional[dict[int, Transducer]] = None  # every machine when None
+    if dedupe:
+        stream = dedupe_behavioral(enumerate_transducers(k, g.alphabet1, g.alphabet2))
+        machines = {canonical_ordinal(t): t for t in stream}
+        width = len(machines)
+        label_mask = dict.fromkeys(g.alphabet1, 0)
+        moves = {b: [0] * (k * k) for b in g.alphabet2}
+        start = 0
+        for j, t in enumerate(machines.values()):
+            start |= 1 << (t.initial * width + j)
+            for s in range(k):
+                bit = 1 << (s * width + j)
+                label_mask[t.labels[s]] |= bit
+                for b, s2 in zip(g.alphabet2, t.trans[s]):
+                    moves[b][s * k + s2] |= bit
+    else:
+        # every machine, bit j standing for ordinal j
+        width = total
+        labels, steps = machine_masks(k, g.alphabet1, g.alphabet2, 0, total)
+        label_mask = {
+            a: sum(labels[s][i] << (s * width) for s in range(k))
+            for i, a in enumerate(g.alphabet1)
+        }
+        moves = {
+            b: [steps[s][i][s2] << (s * width) for s in range(k) for s2 in range(k)]
+            for i, b in enumerate(g.alphabet2)
+        }
+        start = (1 << width) - 1  # every machine starts in state 0
     shifts = {
         b: [(m, (i // k) * width, (i % k) * width) for i, m in enumerate(row) if m]
         for b, row in moves.items()
@@ -176,12 +202,12 @@ def solve_bounded(
             y |= (x & m) >> low << high
         return y
 
-    edges, _positions, order = _explore(g, start, offer, step, belief_cap)
-    if edges is None:
+    rows, _positions, order = _explore(g, start, offer, step, belief_cap)
+    if rows is None:
         return BoundedSolveResult(
             None, reason="belief position count above cap", positions=len(order)
         )
-    solution = solve_parity(_int_arena(g, edges, order))
+    solution = solve_parity(_int_arena(g, rows, order))
     strategy = {
         vid: a for vid, a in solution.strategy2.items() if vid < len(order)
     }
@@ -189,7 +215,7 @@ def solve_bounded(
         p2_wins=0 in solution.region2,
         positions=len(order),
         strategy=strategy,
-        arena=BeliefArena(g, edges, order, machines),
+        arena=BeliefArena(g, rows, order, k, machines),
         solution=solution,
     )
 

@@ -165,6 +165,67 @@ def canonical_ordinal(t: Transducer) -> int:
     return value
 
 
+def _digit_masks(lo: int, hi: int, weight: int, radix: int) -> list[int]:
+    """For each value d of the ordinal digit `(o // weight) % radix`, the
+    bits j of the window [lo, hi) whose ordinal lo + j has that digit.
+
+    The digit is d on runs of `weight` ordinals, one run per period of
+    `weight * radix`.  A period no longer than the window is repeated by
+    multiplying one run with a repunit in base 2**period; a longer period
+    meets the window in at most two runs, which are cut out directly.
+    """
+    width, period = hi - lo, weight * radix
+    run = (1 << weight) - 1
+    full = (1 << width) - 1
+    masks = []
+    if period <= width:
+        off = lo % period
+        periods = -(-(off + width) // period)
+        repunit = ((1 << (period * periods)) - 1) // ((1 << period) - 1)
+        for d in range(radix):
+            masks.append(((run << (d * weight)) * repunit >> off) & full)
+        return masks
+    first = lo - lo % period
+    for d in range(radix):
+        mask = 0
+        for start in (first + d * weight, first + period + d * weight):
+            a, b = max(start, lo), min(start + weight, hi)
+            if a < b:
+                mask |= ((1 << (b - a)) - 1) << (a - lo)
+        masks.append(mask)
+    return masks
+
+
+def machine_masks(
+    k: int, outputs: Sequence[str], inputs: Sequence[str], lo: int, hi: int
+) -> tuple[list[list[int]], list[list[list[int]]]]:
+    """The machines of the ordinal window [lo, hi) as bit masks, bit j
+    standing for machine lo + j.
+
+    Returns (labels, steps): `labels[s][i]` holds the machines whose state
+    s emits `outputs[i]`, and `steps[s][g][s2]` those that go from state s
+    to s2 on `inputs[g]`.  The masks come from the periods of the ordinal
+    digits, so no machine is built.
+    """
+    total = count(k, outputs, inputs)
+    if not 0 <= lo < hi <= total:
+        raise GameError("ordinal window out of bounds")
+    n_out, n_in = len(outputs), len(inputs)
+    trans_digits = k * n_in
+    labels = [
+        _digit_masks(lo, hi, k**trans_digits * n_out ** (k - 1 - s), n_out)
+        for s in range(k)
+    ]
+    steps = [
+        [
+            _digit_masks(lo, hi, k ** (trans_digits - 1 - (s * n_in + g)), k)
+            for g in range(n_in)
+        ]
+        for s in range(k)
+    ]
+    return labels, steps
+
+
 def enumerate_transducers(
     k: int,
     outputs: Sequence[str],

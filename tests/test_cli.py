@@ -297,6 +297,7 @@ class TestReport:
         jsonschema.validate(d1, REPORT_SCHEMA)
         assert r1.read_text() == r2.read_text()
         assert d1["outcome"] == "ok"
+        assert d1["stats"] == {"transducers": 2, "windows": 1, "k": 1}
 
     def test_report_lines_on_stderr(self, game_file, capsys):
         main(["check-live", game_file, "-k", "1"])

@@ -1,0 +1,160 @@
+"""Answers pinned by sha256 digests, one section per layer.
+
+The digests were recorded before products were solved on integer rows and
+before the liveness sweep became bit-parallel; any later change to a
+product, region, lasso, verdict, witness, controller trace, CLI output or
+knowledge-game answer shows up here.  A change that alters one of these
+answers on purpose re-pins only its own section and says why.
+"""
+
+import hashlib
+import itertools
+import random
+
+import pytest
+
+from tgames import (
+    CnfFormula,
+    adaptive_controller,
+    build_product,
+    check_k_live,
+    cnf_to_game,
+    count,
+    from_ordinal,
+    p2_winning_positions,
+    qbf_to_game,
+    reachable_positions,
+    robot_scenario,
+    serialize_game,
+    serialize_transducer,
+    simulate,
+    solve_bounded,
+    steps_bound,
+)
+from tgames.cli import main
+
+from helpers import random_game
+from test_synthesis import one_pair_formulas
+
+AB = ("a", "b")
+XY = ("x", "y")
+OBJECTIVES = ("reachability", "buchi", "parity")
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def arenas():
+    """Ten seeded random arenas per objective, 2-4 vertices per player."""
+    for objective in OBJECTIVES:
+        rng = random.Random(f"golden-{objective}")
+        for _ in range(10):
+            yield random_game(
+                rng, rng.randrange(2, 5), rng.randrange(2, 5), AB, XY, objective
+            )
+
+
+def product_answers():
+    rng = random.Random("golden-machines")
+    for g in arenas():
+        for k in (1, 2, 3):
+            total = count(k, AB, XY)
+            for ordinal in sorted(rng.sample(range(total), min(4, total))):
+                prod = build_product(g, from_ordinal(ordinal, k, AB, XY))
+                win, lassos = p2_winning_positions(prod)
+                yield serialize_game(prod.graph)
+                yield reachable_positions(prod)
+                for pos in sorted(win, key=prod.positions.__getitem__):
+                    yield pos, lassos[pos].prefix, lassos[pos].cycle
+
+
+def liveness_answers():
+    cnfs = (
+        CnfFormula(3, ((1, 2), (-1, 3), (-2, -3))),  # satisfiable
+        CnfFormula(3, ((1, 2), (-1, 2), (1, -2), (-1, -2, 3))),  # satisfiable
+        CnfFormula(3, ((1, 2), (-1, 2), (1, -2), (-1, -2))),  # unsatisfiable
+    )
+    games = [(g, k) for g in arenas() for k in (1, 2)]
+    games += [(cnf_to_game(phi), k) for phi in cnfs for k in (2, 3)]
+    for g, k in games:
+        for dedupe in (False, True):
+            v = check_k_live(g, k, dedupe=dedupe)
+            w = v.witness
+            yield v.live, v.stats.transducers_examined
+            if w is not None:
+                yield w.transducer.labels, w.transducer.trans, w.alpha, w.position
+
+
+def bounded_answers():
+    for g in arenas():
+        for k, dedupe in itertools.product((1, 2), (False, True)):
+            res = solve_bounded(g, k, dedupe=dedupe)
+            yield res.p2_wins, res.positions, sorted(res.strategy.items())
+
+
+def trace_answers():
+    g = robot_scenario(2)
+    bound = steps_bound(g.n, 2, g.alphabet1, g.alphabet2)
+    for ordinal in (1, 211, 1691, 4505, 8229):
+        hidden = from_ordinal(ordinal, 2, g.alphabet1, g.alphabet2)
+        trace = simulate(g, adaptive_controller(g, 2), hidden, bound)
+        yield ordinal, trace.actions, trace.winner, trace.steps
+        yield [(r.step, r.ordinal, r.candidates) for r in trace.hypothesis_log]
+
+
+def criterion_2a_answers():
+    for psi in one_pair_formulas()[::25]:
+        res = solve_bounded(qbf_to_game(psi), 2)
+        sol = res.solution
+        yield res.p2_wins, res.positions, sorted(res.strategy.items())
+        yield sorted(sol.region1), sorted(sol.region2)
+        yield sorted(sol.strategy1.items()), sorted(sol.strategy2.items())
+
+
+def cli_answers(tmp_path):
+    rng = random.Random("golden-cli")
+    for i, g in enumerate(arenas()):
+        t = from_ordinal(rng.randrange(count(2, AB, XY)), 2, AB, XY)
+        game, env = tmp_path / f"g{i}.bg", tmp_path / f"t{i}.tr"
+        out, lassos = tmp_path / f"p{i}.bg", tmp_path / f"l{i}.txt"
+        game.write_text(serialize_game(g))
+        env.write_text(serialize_transducer(t))
+        rc = main([
+            "--deterministic", "product", str(game), "--env", str(env),
+            "-o", str(out), "--lassos", str(lassos),
+        ])
+        yield rc, out.read_bytes(), lassos.read_bytes()
+
+
+PINNED = {
+    "products": "97fd675361d8eebba53db2ba8ae03baa82264306c8bad8bffdd9f3d6a4e9d8ba",
+    "liveness": "4ba6a85818581c3a62b5297bd998e68190c73eb7fc43cf8d18dddccc715858e5",
+    "bounded": "1737ad64445ce156740e74f42a639bca4e5b3fc4f2ee3ec8dea37dbef61721c1",
+    "traces": "2d25d038195f3c3eaf2197cbc88184977bbd04a4d733546a6047bbecf9625270",
+    "criterion_2a": "d77b29dee2a5435cd7324f3daeaa11257ff95dc34ddc4cb54b1beb06fbcbd099",
+}
+
+
+@pytest.mark.parametrize(
+    "section, answers",
+    [
+        ("products", product_answers),
+        ("liveness", liveness_answers),
+        ("bounded", bounded_answers),
+        ("traces", trace_answers),
+        ("criterion_2a", criterion_2a_answers),
+    ],
+)
+def test_answers_pinned(section, answers):
+    assert _digest(answers()) == PINNED[section]
+
+
+def test_cli_product_bytes_pinned(tmp_path):
+    assert _digest(cli_answers(tmp_path)) == (
+        "e9823489ed4205fe1c88ce794bf36ebf9a71d5125f86f410db48255a3db85d64"
+    )

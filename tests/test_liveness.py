@@ -9,16 +9,19 @@ from tgames import (
     Transducer,
     Word,
     agrees,
+    canonical_ordinal,
     check_k_live,
     cnf_to_game,
     complete,
     count,
+    dedupe_behavioral,
     enumerate_transducers,
     from_ordinal,
     make_game,
     sat_brute_force,
     verify_witness,
     word_in_Ak,
+    liveness,
 )
 
 from helpers import random_game
@@ -132,6 +135,85 @@ class TestCheckKLive:
                 assert verify_witness(g, 2, verdict.witness)
                 found += 1
         assert found > 0
+
+
+class TestSweepOracle:
+    """The bit-parallel sweep against one product per machine
+    (`_scan_machine`), with windows of 7 machines so that most machines
+    fall in later windows."""
+
+    @staticmethod
+    def _arenas():
+        for objective in ("reachability", "buchi", "parity"):
+            rng = random.Random(f"sweep-{objective}")
+            for i in range(10):
+                alphabet2 = ("x", "y", "z") if i % 3 == 2 else XY
+                yield random_game(
+                    rng, rng.randrange(2, 5), rng.randrange(2, 5), AB, alphabet2, objective
+                )
+
+    @staticmethod
+    def _one_by_one(g, k, dedupe):
+        """Verdict, witness and count of a sweep that solves one product per
+        machine, in ordinal order."""
+        stream = enumerate_transducers(k, g.alphabet1, g.alphabet2)
+        if dedupe:
+            stream = dedupe_behavioral(stream)
+        examined = 0
+        for t in stream:
+            examined += 1
+            w = liveness._scan_machine(g, t)
+            if w is not None:
+                return False, w, examined
+        return True, None, examined
+
+    def test_failing_machines_match(self, monkeypatch):
+        monkeypatch.setattr(liveness, "WINDOW", 7)
+        failures = 0
+        for g in self._arenas():
+            for k in (1, 2):
+                total = count(k, g.alphabet1, g.alphabet2)
+                kernel = liveness._Kernel(g, k)
+                swept = set()
+                for lo in range(0, total, liveness.WINDOW):
+                    fail = kernel.failing(lo, min(lo + liveness.WINDOW, total))
+                    swept |= {lo + j for j in range(fail.bit_length()) if fail >> j & 1}
+                machines = enumerate_transducers(k, g.alphabet1, g.alphabet2)
+                oracle = {
+                    o for o, t in enumerate(machines)
+                    if liveness._scan_machine(g, t) is not None
+                }
+                assert swept == oracle
+                failures += len(oracle)
+        assert failures > 100
+
+    def test_verdict_witness_and_count_match(self, monkeypatch):
+        monkeypatch.setattr(liveness, "WINDOW", 7)
+        for g in self._arenas():
+            for k in (1, 2):
+                for dedupe in (False, True):
+                    live, w, examined = self._one_by_one(g, k, dedupe)
+                    v = check_k_live(g, k, dedupe=dedupe)
+                    assert v.live == live
+                    assert v.witness == w
+                    assert v.stats.transducers_examined == examined
+                    # windows run up to the one holding the witness
+                    stop = count(k, AB, g.alphabet2)
+                    if w is not None:
+                        stop = canonical_ordinal(w.transducer) + 1
+                    assert v.stats.windows == -(-stop // 7)
+
+    def test_jobs_match_the_sequential_sweep(self, monkeypatch):
+        monkeypatch.setattr(liveness, "WINDOW", 7)
+        rng = random.Random("sweep-jobs")
+        for objective in ("reachability", "buchi", "parity"):
+            g = random_game(rng, 3, 3, AB, ("x", "y", "z"), objective)
+            live, w, _examined = self._one_by_one(g, 2, False)
+            v = check_k_live(g, 2, jobs=2)
+            assert v.live == live
+            assert v.witness == w
+            if live:
+                assert v.stats.transducers_examined == count(2, AB, ("x", "y", "z"))
 
 
 class TestVerifyWitness:

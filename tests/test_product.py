@@ -6,7 +6,10 @@ import pytest
 
 from tgames import (
     GameError,
+    GameGraph,
     Transducer,
+    Vertex,
+    adaptive_controller,
     Word,
     agrees,
     build_product,
@@ -17,8 +20,13 @@ from tgames import (
     make_game,
     p2_winning_positions,
     parse_game,
+    product,
     reachable_positions,
+    robot_scenario,
     serialize_game,
+    simulate,
+    solve_one_player,
+    steps_bound,
     validate,
     winner_of_lasso,
     winning_lasso,
@@ -77,11 +85,19 @@ class TestBuild:
             # the arena is assembled without make_game, so check it here
             assert validate(prod.graph) == []
             assert parse_game(serialize_game(prod.graph)) == prod.graph
-            # the view drops the deviations and all but one top[0] move
+            # the solver's rows keep each position's on-policy successors:
+            # the edge at the machine's label for player 1, every edge for
+            # player 2, and one top[0] move
             top_a, top_b = prod.top
-            kept = {e: v for e, v in prod.graph.edges.items() if v != top_b}
-            kept[(top_a, AB[0])] = top_b
-            assert prod.policy_view().edges == kept
+            for (vid, m), pvid in prod.positions.items():
+                if g.vertices[vid].owner == 1:
+                    on = [(t.labels[m], prod.graph.edges[(pvid, t.labels[m])])]
+                    assert on[0][1] != top_b
+                else:
+                    on = [(b, prod.graph.edges[(pvid, b)]) for b in XY]
+                assert list(zip(prod.arena.acts[pvid], prod.arena.succ[pvid])) == on
+            assert prod.arena.succ[top_a] == [prod.graph.edges[(top_a, AB[0])]]
+            assert prod.arena.succ[top_b] == [prod.graph.edges[(top_b, b)] for b in XY]
 
     def test_colors_lift(self):
         g = arena()
@@ -213,8 +229,8 @@ class TestWinning:
                 assert len(lasso) <= 2 * g.n * k + 2
 
     def test_losing_positions_closed_under_play(self):
-        # player 1 is pinned, so from a losing position every successor in
-        # the on-policy view stays losing
+        # player 1 is pinned, so from a losing position every on-policy
+        # successor (the machine's label for player 1) stays losing
         rng = random.Random(15)
         for _ in range(40):
             g = random_game(rng, 3, 3, AB, XY, rng.choice(["parity", "buchi"]))
@@ -222,12 +238,13 @@ class TestWinning:
             prod = build_product(g, t)
             win, _ = p2_winning_positions(prod)
             losing = set(prod.positions) - set(win)
-            view = prod.policy_view()
             for pos in losing:
-                vid = prod.positions[pos]
-                for _a, tgt in view.successors(vid):
-                    if tgt in prod.of_vertex:
-                        assert prod.of_vertex[tgt] in losing
+                vid, m = pos
+                actions = (t.labels[m],) if g.vertices[vid].owner == 1 else XY
+                for a in actions:
+                    tgt = prod.graph.edges[(prod.positions[pos], a)]
+                    assert tgt in prod.of_vertex
+                    assert prod.of_vertex[tgt] in losing
 
     def test_winning_lasso_requires_winning(self):
         g = make_game(
@@ -240,6 +257,46 @@ class TestWinning:
         prod = build_product(g, t)
         with pytest.raises(GameError):
             winning_lasso(prod, prod.initial)
+
+
+class TestRows:
+    @staticmethod
+    def _policy_graph(prod):
+        """The named arena with every deviation dropped: the form products
+        were solved in before they were solved on rows."""
+        top_a, top_b = prod.top
+        g = prod.graph
+        edges = {key: t for key, t in g.edges.items() if t != top_b}
+        edges[(top_a, g.alphabet1[0])] = top_b
+        return GameGraph(g.objective, g.alphabet1, g.alphabet2, g.vertices, edges, 0)
+
+    def test_rows_solve_as_the_policy_graph(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            obj = rng.choice(["parity", "buchi", "reachability"])
+            g = random_game(rng, rng.randrange(2, 5), rng.randrange(2, 5), AB, XY, obj)
+            prod = build_product(g, random_transducer(rng, rng.randrange(1, 4)))
+            region, lassos = prod.solution()
+            named_region, named_lassos = solve_one_player(self._policy_graph(prod))
+            assert region == named_region
+            assert list(lassos) == list(named_lassos)
+            for vid in region:
+                assert lassos[vid] == named_lassos[vid]
+
+    def test_controller_play_names_no_vertex(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Vertex(*args)
+
+        monkeypatch.setattr(product, "Vertex", counted)
+        g = robot_scenario(2)
+        hidden = from_ordinal(1691, 2, g.alphabet1, g.alphabet2)
+        bound = steps_bound(g.n, 2, g.alphabet1, g.alphabet2)
+        trace = simulate(g, adaptive_controller(g, 2), hidden, bound)
+        assert trace.winner == 2 and trace.steps > 1000
+        assert built == []
 
 
 class TestBijection:

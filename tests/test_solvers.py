@@ -220,6 +220,20 @@ class TestSolveOnePlayer:
             region, _ = solve_one_player(g)
             assert region == one_player_region_oracle(g)
 
+    @pytest.mark.parametrize("objective", ["parity", "buchi", "reachability"])
+    def test_rows_solve_as_the_graph(self, objective):
+        rng = random.Random(len(objective))
+        for _ in range(40):
+            g = random_one_player_game(
+                rng, rng.randrange(1, 8), rng.randrange(1, 8), ("x", "y"), objective
+            )
+            region, lassos = solve_one_player(g)
+            row_region, row_lassos = solve_one_player(compile_arena(g))
+            assert row_region == region
+            assert list(row_lassos) == list(lassos)
+            for vid in region:
+                assert row_lassos[vid] == lassos[vid]
+
 
 class TestLazyLassos:
     @staticmethod

@@ -21,6 +21,7 @@ from tgames import (
     run,
     serialize_transducer,
 )
+from tgames.transducers import machine_masks
 
 AB = ("a", "b")
 XY = ("x", "y")
@@ -167,6 +168,38 @@ class TestEnumeration:
             k = rng.randrange(1, 4)
             t = random_transducer(rng, k)
             assert from_ordinal(canonical_ordinal(t), k, AB, XY) == t
+
+
+class TestMachineMasks:
+    @staticmethod
+    def _check(k, outputs, inputs, lo, hi):
+        labels, steps = machine_masks(k, outputs, inputs, lo, hi)
+        for j in range(hi - lo):
+            t = from_ordinal(lo + j, k, outputs, inputs)
+            for s in range(k):
+                for i, a in enumerate(outputs):
+                    assert (labels[s][i] >> j & 1) == (t.labels[s] == a)
+                for g in range(len(inputs)):
+                    for s2 in range(k):
+                        assert (steps[s][g][s2] >> j & 1) == (t.trans[s][g] == s2)
+        assert all(m >> (hi - lo) == 0 for row in labels for m in row)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_masks_match_the_machines(self, k):
+        outputs, inputs = ("a", "b", "c"), XY
+        total = count(k, outputs, inputs)
+        self._check(k, outputs, inputs, 0, total)
+        rng = random.Random(k)
+        for _ in range(6):
+            lo = rng.randrange(total)
+            for width in (1, 7, 100):
+                self._check(k, outputs, inputs, lo, min(total, lo + width))
+
+    def test_window_out_of_bounds(self):
+        with pytest.raises(GameError):
+            machine_masks(1, AB, XY, 0, count(1, AB, XY) + 1)
+        with pytest.raises(GameError):
+            machine_masks(1, AB, XY, 1, 1)
 
 
 class TestDedupe:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -48,6 +47,12 @@ from .transducers import (
 
 DEFAULT_CAP = 10_000_000
 WINDOW = 1 << 14  # machines decided at once, one bit each
+# Machines per window of the controller's hypothesis scan (synthesis.py).
+# The controller keeps one window's masks between moves, so the window is
+# sized for memory: on robot(2) at k = 2 one kernel pass allocates at most
+# about 0.7 MB against 2.6 MB at 1 << 14, and a scan that skips thousands
+# of hypotheses still crosses only a few windows.
+SCAN_WINDOW = 1 << 12
 
 
 @dataclass
@@ -148,9 +153,10 @@ class _Kernel:
                 self.groups.append(list(into.items()))
         self.color = [v.color for v in g.vertices for _s in range(k)]
 
-    def failing(self, lo: int, hi: int) -> int:
-        """The machines of [lo, hi) whose product reaches a position player
-        2 loses from, as a bit mask over the window."""
+    def sets(self, lo: int, hi: int) -> tuple[list[int], list[int]]:
+        """Per node, the machines of [lo, hi) whose product reaches it
+        (`reach`) and those whose product player 2 wins from it (`win`), as
+        bit masks over the window."""
         g, k = self.g, self.k
         labels, steps = machine_masks(k, g.alphabet1, g.alphabet2, lo, hi)
         flat = [m for row in labels for m in row]
@@ -170,9 +176,13 @@ class _Kernel:
         reach = [0] * len(self.groups)
         reach[g.initial * k] = full
         _close(reach, fwd)
-        win = self._win(fwd, bwd, full)
+        return reach, self._win(fwd, bwd, full)
+
+    def failing(self, lo: int, hi: int) -> int:
+        """The machines of [lo, hi) whose product reaches a position player
+        2 loses from, as a bit mask over the window."""
         fail = 0
-        for r, w in zip(reach, win):
+        for r, w in zip(*self.sets(lo, hi)):
             fail |= r & ~w
         return fail
 
@@ -310,6 +320,10 @@ def check_k_live(
 
 
 def _check_parallel(g, k, total, jobs, deterministic, stats) -> LivenessVerdict:
+    # imported on use: at module level it slows every `import tgames` by
+    # about a quarter
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     chunk = max(1, min(4096, (total + 4 * jobs - 1) // (4 * jobs)))
     ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     results: dict[int, Optional[tuple]] = {}
@@ -371,21 +385,6 @@ def verify_witness(g: GameGraph, k: int, w: LivenessWitness) -> bool:
         return False
 
 
-def _observations(w: Word, k: int) -> list[tuple[tuple[str, ...], str]]:
-    """(player-2 prefix, forced output) pairs a machine must reproduce."""
-    if w.finite:
-        actions = w.prefix
-    else:
-        # unroll far enough that any k-state machine agreeing with the
-        # unrolled part repeats a (cycle position, state) pair
-        reps = k + 1
-        actions = w.prefix + w.cycle * reps
-    obs = []
-    for i in range(0, len(actions), 2):
-        obs.append((actions[1:i:2], actions[i]))
-    return obs
-
-
 def word_in_Ak(
     w: Word,
     k: int,
@@ -404,21 +403,21 @@ def word_in_Ak(
     """
     outputs = tuple(outputs)
     inputs = tuple(inputs)
-    obs = _observations(w, k)
-    for sym in set(a for pre, out in obs for a in pre):
+    actions = w.prefix
+    if not w.finite:
+        # unroll far enough that any k-state machine agreeing with the
+        # unrolled part repeats a (cycle position, state) pair
+        actions += w.cycle * (k + 1)
+    # player-1 action 2i must be the label of the state reached after the
+    # player-2 actions before it, which are the first i of `chain`
+    required = dict(enumerate(actions[0::2]))
+    chain = actions[1 : 2 * len(required) - 2 : 2]
+    for sym in set(chain):
         if sym not in inputs:
             raise GameError(f"player-2 action {sym!r} outside the input alphabet")
-    for _pre, out in obs:
+    for out in required.values():
         if out not in outputs:
             raise GameError(f"player-1 action {out!r} outside the output alphabet")
-
-    # the observed prefixes form a chain; position i sees input chain[i-1]
-    chain: list[str] = []
-    required: dict[int, str] = {}
-    for pre, out in obs:
-        if len(pre) > len(chain):
-            chain.extend(pre[len(chain) :])
-        required[len(pre)] = out
     length = len(chain)
 
     found = _fold_chain(chain, required, length, k, outputs, inputs)
@@ -433,44 +432,54 @@ def word_in_Ak(
 
 
 def _fold_chain(chain, required, length, k, outputs, inputs):
-    """Assign a state to every chain position, merging under determinism."""
+    """Assign a state to every chain position, merging under determinism.
+
+    Depth-first over positions 1..length: a position whose transition is
+    already fixed takes its forced state, any other tries every state used
+    so far and then one new one, in increasing order.  The open positions
+    live on an explicit stack, so no word length can overflow the call
+    stack."""
+    if 0 in required and required[0] not in outputs:
+        return None
     labels: dict[int, str] = {0: required[0]} if 0 in required else {}
     trans: dict[tuple[int, str], int] = {}
     assign = [0] * (length + 1)
-    used = 1
-
-    def place(i: int, used: int) -> Optional[Transducer]:
-        if i > length:
-            label_row = tuple(labels.get(m, outputs[0]) for m in range(k))
-            rows = tuple(
-                tuple(trans.get((m, s), 0) for s in inputs) for m in range(k)
-            )
-            return Transducer(outputs, inputs, label_row, rows)
-        prev = assign[i - 1]
-        sym = chain[i - 1]
-        forced = trans.get((prev, sym))
-        candidates = [forced] if forced is not None else list(range(min(used + 1, k)))
-        for state in candidates:
-            new_state = forced is None and state == used and used < k
-            req = required.get(i)
-            if req is not None and state in labels and labels[state] != req:
-                continue
-            added_label = False
-            if req is not None and state not in labels:
-                labels[state] = req
-                added_label = True
-            if forced is None:
-                trans[(prev, sym)] = state
-            assign[i] = state
-            result = place(i + 1, used + 1 if new_state else used)
-            if result is not None:
-                return result
-            if forced is None:
-                del trans[(prev, sym)]
-            if added_label:
-                del labels[state]
+    # per open position: states left to try, states used before it, the
+    # transition its choice fixes (None when forced), the label it set
+    frames: list[list] = []
+    i, used = 1, 1
+    while 1 <= i <= length:
+        if len(frames) < i:
+            key = (assign[i - 1], chain[i - 1])
+            forced = trans.get(key)
+            if forced is not None:
+                frames.append([iter((forced,)), used, None, None])
+            else:
+                frames.append([iter(range(min(used + 1, k))), used, key, None])
+        frame = frames[-1]
+        states, used, key, label = frame
+        if label is not None:  # undo the state tried last at this position
+            del labels[label]
+            frame[3] = None
+        if key is not None:
+            trans.pop(key, None)
+        req = required.get(i)
+        state = next((m for m in states if req is None or labels.get(m, req) == req), None)
+        if state is None:
+            frames.pop()
+            i -= 1
+            continue
+        if req is not None and state not in labels:
+            labels[state] = req
+            frame[3] = state
+        if key is not None:
+            trans[key] = state
+            if state == used and used < k:
+                used += 1
+        assign[i] = state
+        i += 1
+    if i == 0:
         return None
-
-    if 0 in required and required[0] not in outputs:
-        return None
-    return place(1, used) if length >= 0 else None
+    label_row = tuple(labels.get(m, outputs[0]) for m in range(k))
+    rows = tuple(tuple(trans.get((m, s), 0) for s in inputs) for m in range(k))
+    return Transducer(outputs, inputs, label_row, rows)

@@ -41,6 +41,7 @@ from .graphs import (
     winner_of_lasso,
 )
 from .graphs import make_game  # noqa: F401  -- unused here; bench/tracing.py wraps it
+from . import liveness
 from .solvers import ParitySolution, solve_parity
 from .product import (
     ProductGame,
@@ -257,12 +258,26 @@ class AdaptiveController:
     output a player-1 observation refutes.  An empty candidate set moves to
     the next machine; after the last machine the scan wraps around.
 
-    Storage stays polynomial: one ordinal and its product (the product's
-    `.transducer` is the hypothesis machine, `from_ordinal(ordinal)`), at
-    most k candidate states, one lasso with a cursor, and the current
-    vertex.  Observation history is never kept.  With `dedupe` the
-    hypotheses are the behaviour-class representatives instead, so the
-    controller also keeps one machine per class.
+    Hypotheses are skipped without building their products: a machine is
+    worth a product only when some (current vertex, m) is reachable and
+    winning in it, and `liveness._Kernel` computes that for a whole aligned
+    window of `liveness.SCAN_WINDOW` (2^12) ordinals at once, one bit per
+    machine.  The scan checks the cursor's product first, which a
+    qualifying hypothesis needs for its lasso anyway, and past a miss jumps
+    to the next hypothesis whose bit is set, so it stops where a
+    product-by-product scan would.
+
+    Storage stays polynomial in the arena, with one window of bits: one
+    ordinal and its product (the product's `.transducer` is the hypothesis
+    machine, `from_ordinal(ordinal)`), at most k candidate states, one
+    lasso with a cursor, the current vertex, and the last scan window's
+    masks, one per game vertex, O(|V|·2^12) bits.  A kernel pass over a
+    window holds O(|V|·k·2^12) bits while it runs.  Observation history is
+    never kept.  With `dedupe` the hypotheses are the behaviour-class
+    representatives instead, whose ordinals ascend, so the controller also
+    keeps one ordinal per class and scans them the same way.
+    `products_built` and `scan_windows` count the products and kernel
+    passes so far.
     """
 
     def __init__(self, g: GameGraph, k: int, dedupe: bool = False):
@@ -270,15 +285,16 @@ class AdaptiveController:
             raise GameError("the controller needs a total arena")
         self.game = g
         self.k = k
+        self._machines = count(k, g.alphabet1, g.alphabet2)
+        self._ordinals: Sequence[int] = range(self._machines)
         if dedupe:
-            reps = tuple(
-                dedupe_behavioral(enumerate_transducers(k, g.alphabet1, g.alphabet2))
+            self._ordinals = tuple(
+                canonical_ordinal(t)
+                for t in dedupe_behavioral(
+                    enumerate_transducers(k, g.alphabet1, g.alphabet2)
+                )
             )
-            self._machine = reps.__getitem__
-            self.hypotheses = len(reps)
-        else:
-            self._machine = lambda i: from_ordinal(i, k, g.alphabet1, g.alphabet2)
-            self.hypotheses = count(k, g.alphabet1, g.alphabet2)
+        self.hypotheses = len(self._ordinals) if dedupe else self._machines
         self.vertex = g.initial
         self.ordinal = 0
         self.candidates: list[int] = []
@@ -288,7 +304,11 @@ class AdaptiveController:
         self.tracking = False
         self.steps = 0
         self.log: list[HypothesisRecord] = []
+        self.products_built = 0
+        self.scan_windows = 0
         self._held: Optional[tuple[int, ProductGame]] = None
+        self._kernel: Optional[liveness._Kernel] = None  # built on the first miss
+        self._window: Optional[tuple[int, list[int]]] = None  # start, mask per vertex
 
     # -- product plumbing ---------------------------------------------------
 
@@ -296,27 +316,92 @@ class AdaptiveController:
         """The current hypothesis' product, built when the ordinal moved."""
         if self._held is None or self._held[0] != self.ordinal:
             self._held = None  # let the old product go before building
-            self._held = (
-                self.ordinal,
-                build_product(self.game, self._machine(self.ordinal)),
+            g = self.game
+            machine = from_ordinal(
+                self._ordinals[self.ordinal], self.k, g.alphabet1, g.alphabet2
             )
+            self._held = (self.ordinal, build_product(g, machine))
+            self.products_built += 1
         return self._held[1]
+
+    def _window_masks(self, start: int) -> list[int]:
+        """Per game vertex v, the machines of the window at `start` with
+        some (v, m) reachable and winning in their product."""
+        if self._window is None or self._window[0] != start:
+            self._window = None  # let the old masks go before the pass
+            if self._kernel is None:
+                self._kernel = liveness._Kernel(self.game, self.k)
+            stop = min(start + liveness.SCAN_WINDOW, self._machines)
+            reach, win = self._kernel.sets(start, stop)
+            k = self.k
+            masks = []
+            for v in range(len(self.game.vertices)):
+                hit = 0
+                for x in range(v * k, v * k + k):
+                    hit |= reach[x] & win[x]
+                masks.append(hit)
+            self._window = (start, masks)
+            self.scan_windows += 1
+        return self._window[1]
+
+    def _at_or_after(self, ordinal: int, lo: int, hi: int) -> int:
+        """The first hypothesis number in [lo, hi) whose ordinal is at least
+        `ordinal`, or `hi`.  (`bisect` takes no indices above sys.maxsize.)"""
+        ordinals = self._ordinals
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if ordinals[mid] < ordinal:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def _next_marked(self, i: int, stop: int) -> Optional[int]:
+        """The first hypothesis number in [i, stop) whose bit is set at the
+        current vertex, or None."""
+        ordinals, size = self._ordinals, liveness.SCAN_WINDOW
+        while i < stop:
+            ordinal = ordinals[i]
+            start = ordinal - ordinal % size
+            marked = self._window_masks(start)[self.vertex] >> (ordinal - start)
+            if marked:
+                ordinal += (marked & -marked).bit_length() - 1
+            else:
+                ordinal = start + size
+            i = self._at_or_after(ordinal, i, stop)
+            if marked and i < stop and ordinals[i] == ordinal:
+                return i
+        return None
 
     # -- hypothesis management ----------------------------------------------
 
     def _scan(self) -> bool:
-        """Find the next machine with some (current vertex, m) reachable;
-        initialize its candidate set.  False when a full wrap found none."""
-        for _ in range(self.hypotheses):
-            reach = reachable_positions(self._product())
-            ms = sorted(m for (v, m) in reach if v == self.vertex)
-            if ms:
-                self.candidates = ms
-                self.tracking = True
-                if self._conjecture_from_current():
-                    return True
-                self.tracking = False
-            self.ordinal = (self.ordinal + 1) % self.hypotheses
+        """Find the next machine with some (current vertex, m) reachable
+        and winning; initialize its candidate set.  False, with the ordinal
+        back where the scan began, when a full wrap found none."""
+        begin = self.ordinal
+        while not self._adopt():
+            i = self.ordinal
+            found = self._next_marked(i + 1, self.hypotheses if i >= begin else begin)
+            if found is None and i >= begin:
+                found = self._next_marked(0, begin)
+            if found is None:
+                self.ordinal = begin
+                return False
+            self.ordinal = found
+        return True
+
+    def _adopt(self) -> bool:
+        """Take the current machine as the hypothesis when some (current
+        vertex, m) is reachable in its product and has a winning lasso."""
+        reach = reachable_positions(self._product())
+        ms = sorted(m for (v, m) in reach if v == self.vertex)
+        if ms:
+            self.candidates = ms
+            self.tracking = True
+            if self._conjecture_from_current():
+                return True
+            self.tracking = False
         return False
 
     def _conjecture_from_current(self) -> bool:

@@ -2,7 +2,7 @@
 
 import itertools
 
-from tgames import GameGraph, make_game
+from tgames import GameGraph, make_game, reachable_positions
 
 
 def random_game(rng, n1, n2, alphabet1, alphabet2, objective):
@@ -112,3 +112,20 @@ class ScriptController:
         a = self.actions[min(self.at, len(self.actions) - 1)]
         self.at += 1
         return a
+
+
+def product_scan(ctrl) -> bool:
+    """`AdaptiveController`'s hypothesis scan one product per hypothesis,
+    from the cursor on with wrap-around: the reference its windowed scan
+    must agree with."""
+    for _ in range(ctrl.hypotheses):
+        reach = reachable_positions(ctrl._product())
+        ms = sorted(m for (v, m) in reach if v == ctrl.vertex)
+        if ms:
+            ctrl.candidates = ms
+            ctrl.tracking = True
+            if ctrl._conjecture_from_current():
+                return True
+            ctrl.tracking = False
+        ctrl.ordinal = (ctrl.ordinal + 1) % ctrl.hypotheses
+    return False

@@ -18,6 +18,7 @@ from tgames import (
     enumerate_transducers,
     from_ordinal,
     make_game,
+    robot_scenario,
     sat_brute_force,
     verify_witness,
     word_in_Ak,
@@ -294,6 +295,37 @@ class TestWordMembership:
     def test_alphabet_validation(self):
         with pytest.raises(GameError):
             word_in_Ak(Word(("zzz",)), 1, AB, XY)
+
+    @staticmethod
+    def _long_robot_word(rounds):
+        """A finite word of `rounds` rounds played by robot(2) machine 14530
+        against inputs drawn from stay, fwd and back."""
+        g = robot_scenario(2)
+        t = from_ordinal(14530, 2, g.alphabet1, g.alphabet2)
+        rng = random.Random(rounds)
+        state, actions = t.initial, []
+        for _ in range(rounds):
+            b = rng.choice(g.alphabet2[:3])
+            actions += [t.labels[state], b]
+            state = t.step(state, b)
+        actions.append(t.labels[state])
+        return g, Word(tuple(actions))
+
+    def test_long_word_returns_first_machine(self):
+        g, w = self._long_robot_word(5000)
+        t = word_in_Ak(w, 2, g.alphabet1, g.alphabet2)
+        expected = next(
+            m for m in enumerate_transducers(2, g.alphabet1, g.alphabet2) if agrees(w, m)
+        )
+        assert t == expected
+
+    def test_long_word_search_result(self):
+        # above the enumeration cap the search's own machine is returned;
+        # pinned to the one the recursive search found, with a raised limit
+        g, w = self._long_robot_word(5000)
+        t = word_in_Ak(w, 2, g.alphabet1, g.alphabet2, enumeration_cap=0)
+        assert agrees(w, t)
+        assert canonical_ordinal(t) == 14464
 
 
 class TestCompletenessSample:

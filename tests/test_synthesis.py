@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import itertools
@@ -31,9 +32,9 @@ from tgames import (
     validate,
     winner_of_lasso,
 )
-from tgames import synthesis
+from tgames import liveness, synthesis
 
-from helpers import ScriptController, random_game
+from helpers import ScriptController, product_scan, random_game
 
 AB = ("a", "b")
 XY = ("x", "y")
@@ -374,6 +375,81 @@ class TestAdaptiveController:
         assert len(set(built)) == len(built)
         gc.collect()  # `ctrl` is still referenced and holds its current product
         assert sum(ref() is not None for ref in products) <= 1
+
+
+class TestWindowedScan:
+    """The controller's windowed hypothesis scan against one product per
+    hypothesis (`helpers.product_scan`), with windows of 7 machines so that
+    scans cross window edges, wrap around, and sometimes find nothing."""
+
+    @staticmethod
+    def _scan_from(ctrl, vertex, ordinal, scan):
+        ctrl.vertex, ctrl.ordinal = vertex, ordinal
+        ctrl.candidates, ctrl.tracking = [], False
+        ctrl.conjecture, ctrl.lasso = None, None
+        return scan(ctrl)
+
+    def _compare(self, fast, starts, seen):
+        slow = copy.copy(fast)  # a second fresh controller, same hypotheses
+        for vertex, ordinal in starts:
+            windows = fast.scan_windows
+            found = self._scan_from(fast, vertex, ordinal, synthesis.AdaptiveController._scan)
+            assert found == self._scan_from(slow, vertex, ordinal, product_scan)
+            assert fast.snapshot() == slow.snapshot()
+            if not found:
+                seen["full wrap"] += 1
+            elif fast.ordinal < ordinal:
+                seen["wrapped"] += 1
+            seen["window edges"] += fast.scan_windows - windows > 1
+        assert fast.products_built <= slow.products_built
+
+    def test_random_arenas(self, monkeypatch):
+        monkeypatch.setattr(liveness, "SCAN_WINDOW", 7)
+        seen = {"full wrap": 0, "wrapped": 0, "window edges": 0}
+        for objective in ("reachability", "buchi", "parity"):
+            rng = random.Random(f"scan-{objective}")
+            for _ in range(4):
+                g = random_game(rng, rng.randrange(2, 5), rng.randrange(2, 5), AB, XY, objective)
+                for k in (1, 2):
+                    for dedupe in (False, True):
+                        ctrl = adaptive_controller(g, k, dedupe=dedupe)
+                        last = ctrl.hypotheses - 1
+                        starts = [
+                            (v.id, o)
+                            for v in g.vertices
+                            for o in {0, last, rng.randrange(last + 1)}
+                        ]
+                        self._compare(ctrl, starts, seen)
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("dedupe", [False, True])
+    def test_robot(self, monkeypatch, dedupe):
+        # the starts of every scan in a play against machine 4505, whose
+        # long scan skips about 4,000 hypotheses
+        monkeypatch.setattr(liveness, "SCAN_WINDOW", 7)
+        g = robot_scenario(2)
+        fresh = adaptive_controller(g, 2, dedupe=dedupe)
+        ctrl = copy.copy(fresh)
+        ctrl.log = []
+        starts = []
+        scan = ctrl._scan
+        ctrl._scan = lambda: starts.append((ctrl.vertex, ctrl.ordinal)) or scan()
+        hidden = from_ordinal(4505, 2, g.alphabet1, g.alphabet2)
+        simulate(g, ctrl, hidden, steps_bound(g.n, 2, g.alphabet1, g.alphabet2))
+        seen = {"full wrap": 0, "wrapped": 0, "window edges": 0}
+        self._compare(fresh, starts, seen)
+        assert seen["window edges"] > 0
+
+    def test_counters_pinned(self):
+        # products built and kernel passes of a fresh controller's whole
+        # play against three hidden machines
+        g = robot_scenario(2)
+        bound = steps_bound(g.n, 2, g.alphabet1, g.alphabet2)
+        for ordinal, products, windows in ((1691, 1073, 0), (4505, 19, 2), (14530, 6, 4)):
+            ctrl = adaptive_controller(g, 2)
+            hidden = from_ordinal(ordinal, 2, g.alphabet1, g.alphabet2)
+            assert simulate(g, ctrl, hidden, bound).winner == 2
+            assert (ctrl.products_built, ctrl.scan_windows) == (products, windows)
 
 
 class TestSimulate:

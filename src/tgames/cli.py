@@ -138,14 +138,7 @@ def _cmd_product(args, report) -> int:
 
 def _cmd_check_live(args, report) -> int:
     g = _load_game(args.game, report)
-    verdict = check_k_live(
-        g,
-        args.k,
-        dedupe=args.dedupe,
-        jobs=args.jobs,
-        cap=args.cap,
-        deterministic=args.deterministic,
-    )
+    verdict = check_k_live(g, args.k, dedupe=args.dedupe, cap=args.cap)
     stats = {
         "transducers": verdict.stats.transducers_examined,
         "windows": verdict.stats.windows,
@@ -186,7 +179,7 @@ def _cmd_solve(args, report) -> int:
             "ok" if result.p2_wins else "p1-wins", positions=result.positions
         )
         return EXIT_OK if result.p2_wins else EXIT_NEGATIVE
-    verdict = check_k_live(g, args.k, dedupe=args.dedupe, jobs=args.jobs, cap=args.cap)
+    verdict = check_k_live(g, args.k, dedupe=args.dedupe, cap=args.cap)
     if verdict.undecided:
         print("undecided: machine count exceeds cap")
         report.finish("undecided-at-cap")
@@ -287,12 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tgames",
         description="games against bounded finite-state environments",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for machine sweeps (sequential with --dedupe)",
     )
     parser.add_argument(
         "--cap",

@@ -223,10 +223,8 @@ class _Kernel:
             z = y
 
 
-def _sweep(
-    g: GameGraph, k: int, lo: int, hi: int, stats: LivenessStats, dedupe: bool = False
-) -> Optional[int]:
-    """The first ordinal in [lo, hi) whose machine fails, or None.
+def _sweep(g: GameGraph, k: int, stats: LivenessStats, dedupe: bool = False) -> Optional[int]:
+    """The first ordinal whose machine fails, or None.
 
     Windows are decided in ordinal order and the sweep stops at the first
     one holding a failure.  Each window adds to `stats.windows` and counts
@@ -235,10 +233,11 @@ def _sweep(
     The first failing machine is always such a first one, because failing
     depends only on behavior."""
     kernel = _Kernel(g, k)
-    stream = enumerate_transducers(k, g.alphabet1, g.alphabet2, lo, hi) if dedupe else None
+    total = count(k, g.alphabet1, g.alphabet2)
+    stream = enumerate_transducers(k, g.alphabet1, g.alphabet2) if dedupe else None
     seen: set = set()
-    for start in range(lo, hi, WINDOW):
-        stop = min(start + WINDOW, hi)
+    for start in range(0, total, WINDOW):
+        stop = min(start + WINDOW, total)
         stats.windows += 1
         fail = kernel.failing(start, stop)
         first = (fail & -fail).bit_length() - 1  # -1 when nothing fails
@@ -256,112 +255,38 @@ def _sweep(
     return None
 
 
-def _witness(g: GameGraph, k: int, ordinal: int) -> LivenessWitness:
-    w = _scan_machine(g, from_ordinal(ordinal, k, g.alphabet1, g.alphabet2))
-    if w is None:
-        raise GameError(f"internal error: machine {ordinal} failed in the sweep only")
-    return w
-
-
-def _scan_chunk(args) -> tuple[int, Optional[tuple[int, LivenessWitness]]]:
-    """Windows swept and (first failing ordinal, witness) in [lo, hi)."""
-    g, k, lo, hi = args
-    stats = LivenessStats()
-    ordinal = _sweep(g, k, lo, hi, stats)
-    if ordinal is None:
-        return stats.windows, None
-    return stats.windows, (ordinal, _witness(g, k, ordinal))
-
-
 def check_k_live(
-    g: GameGraph,
-    k: int,
-    dedupe: bool = False,
-    jobs: int = 1,
-    cap: int = DEFAULT_CAP,
-    deterministic: bool = True,
-    force: bool = False,
+    g: GameGraph, k: int, dedupe: bool = False, cap: int = DEFAULT_CAP
 ) -> LivenessVerdict:
     """Sweep all k-state machines; not-live when one admits a reachable
     position that player 2 loses under the arena's objective.  The witness
     is the first such machine in ordinal order.
 
     A machine count above `cap` yields an undecided verdict instead of a
-    silent multi-day run, unless `force` is set.  `dedupe` counts one
-    machine per behavior class in `stats.transducers_examined` (the verdict
-    and witness only depend on induced strategies, so they do not change);
-    `jobs` spreads ordinal chunks over worker processes.  The sweep runs
-    sequentially, whatever `jobs` says, when `dedupe` is set or there are at
-    most 64 machines.
+    silent multi-day run.  `dedupe` counts one machine per behavior class
+    in `stats.transducers_examined` (the verdict and witness only depend on
+    induced strategies, so they do not change).
     """
     if k < 1:
         raise GameError("k must be >= 1")
     if not g.is_total():
         raise GameError("check_k_live requires a total arena (run complete first)")
     started = time.perf_counter()
-    total = count(k, g.alphabet1, g.alphabet2)
     stats = LivenessStats()
-    if total > cap and not force:
+    if count(k, g.alphabet1, g.alphabet2) > cap:
         stats.wall_time = time.perf_counter() - started
         return LivenessVerdict(live=None, stats=stats)
 
-    if jobs > 1 and not dedupe and total > 64:
-        verdict = _check_parallel(g, k, total, jobs, deterministic, stats)
-        stats.wall_time = time.perf_counter() - started
-        return verdict
-
-    ordinal = _sweep(g, k, 0, total, stats, dedupe)
+    ordinal = _sweep(g, k, stats, dedupe)
     if ordinal is None:
         verdict = LivenessVerdict(live=True, stats=stats)
     else:
-        verdict = LivenessVerdict(live=False, witness=_witness(g, k, ordinal), stats=stats)
+        w = _scan_machine(g, from_ordinal(ordinal, k, g.alphabet1, g.alphabet2))
+        if w is None:
+            raise GameError(f"internal error: machine {ordinal} failed in the sweep only")
+        verdict = LivenessVerdict(live=False, witness=w, stats=stats)
     stats.wall_time = time.perf_counter() - started
     return verdict
-
-
-def _check_parallel(g, k, total, jobs, deterministic, stats) -> LivenessVerdict:
-    # imported on use: at module level it slows every `import tgames` by
-    # about a quarter
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-    chunk = max(1, min(4096, (total + 4 * jobs - 1) // (4 * jobs)))
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    results: dict[int, Optional[tuple]] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending = {}
-        it = iter(range(len(ranges)))
-        for _ in range(min(jobs * 2, len(ranges))):
-            i = next(it)
-            pending[pool.submit(_scan_chunk, (g, k, *ranges[i]))] = i
-        found: Optional[tuple[int, LivenessWitness]] = None
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                i = pending.pop(fut)
-                windows, results[i] = fut.result()
-                stats.windows += windows
-                stats.transducers_examined += ranges[i][1] - ranges[i][0]
-                if results[i] is not None:
-                    cand = results[i]
-                    if found is None or cand[0] < found[0]:
-                        found = cand
-            if found is not None and not deterministic:
-                break
-            if found is not None and deterministic:
-                # stop once every chunk before the candidate is resolved clean
-                lo_chunks = [i for i, r in enumerate(ranges) if r[0] < found[0]]
-                if all(i in results for i in lo_chunks):
-                    break
-            for _ in range(len(done)):
-                i = next(it, None)
-                if i is None:
-                    break
-                pending[pool.submit(_scan_chunk, (g, k, *ranges[i]))] = i
-        for fut in pending:
-            fut.cancel()
-    if found is None:
-        return LivenessVerdict(live=True, stats=stats)
-    return LivenessVerdict(live=False, witness=found[1], stats=stats)
 
 
 def verify_witness(g: GameGraph, k: int, w: LivenessWitness) -> bool:

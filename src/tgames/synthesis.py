@@ -105,8 +105,8 @@ class BeliefArena:
 
     @cached_property
     def belief_of(self) -> dict[int, tuple[int, Belief]]:
-        ordinals = list(self.machines)
-        width = len(ordinals)
+        g = self._base
+        width = count(self._k, g.alphabet1, g.alphabet2)
         decoded: dict[int, Belief] = {}
 
         def pairs(belief: int) -> Belief:
@@ -115,7 +115,7 @@ class BeliefArena:
                 rest = belief
                 while rest:
                     j = (rest & -rest).bit_length() - 1  # lowest set bit
-                    out.append((ordinals[j % width], j // width))
+                    out.append((j % width, j // width))
                     rest &= rest - 1
                 decoded[belief] = frozenset(out)
             return decoded[belief]
@@ -159,37 +159,25 @@ def solve_bounded(
     # bit j of slice s is set when machine j may be in state s.  Beliefs are
     # the observer states of the explorer.  label_mask[a] holds the pairs
     # emitting a; moves[b][s * k + s2] the machines that go from s to s2 on
-    # b, in slice s.
+    # b, in slice s.  Every machine starts in state 0; `dedupe` starts only
+    # the behaviour-class representatives.
+    labels, steps = machine_masks(k, g.alphabet1, g.alphabet2, 0, total)
+    label_mask = {
+        a: sum(labels[s][i] << (s * total) for s in range(k))
+        for i, a in enumerate(g.alphabet1)
+    }
+    moves = {
+        b: [steps[s][i][s2] << (s * total) for s in range(k) for s2 in range(k)]
+        for i, b in enumerate(g.alphabet2)
+    }
     machines: Optional[dict[int, Transducer]] = None  # every machine when None
+    start = (1 << total) - 1
     if dedupe:
         stream = dedupe_behavioral(enumerate_transducers(k, g.alphabet1, g.alphabet2))
         machines = {canonical_ordinal(t): t for t in stream}
-        width = len(machines)
-        label_mask = dict.fromkeys(g.alphabet1, 0)
-        moves = {b: [0] * (k * k) for b in g.alphabet2}
-        start = 0
-        for j, t in enumerate(machines.values()):
-            start |= 1 << (t.initial * width + j)
-            for s in range(k):
-                bit = 1 << (s * width + j)
-                label_mask[t.labels[s]] |= bit
-                for b, s2 in zip(g.alphabet2, t.trans[s]):
-                    moves[b][s * k + s2] |= bit
-    else:
-        # every machine, bit j standing for ordinal j
-        width = total
-        labels, steps = machine_masks(k, g.alphabet1, g.alphabet2, 0, total)
-        label_mask = {
-            a: sum(labels[s][i] << (s * width) for s in range(k))
-            for i, a in enumerate(g.alphabet1)
-        }
-        moves = {
-            b: [steps[s][i][s2] << (s * width) for s in range(k) for s2 in range(k)]
-            for i, b in enumerate(g.alphabet2)
-        }
-        start = (1 << width) - 1  # every machine starts in state 0
+        start = sum(1 << j for j in machines)
     shifts = {
-        b: [(m, (i // k) * width, (i % k) * width) for i, m in enumerate(row) if m]
+        b: [(m, (i // k) * total, (i % k) * total) for i, m in enumerate(row) if m]
         for b, row in moves.items()
     }
 
@@ -504,7 +492,7 @@ class AdaptiveController:
         self.vertex = g.step(self.vertex, action)
         self.steps += 1
         self.log.append(
-            HypothesisRecord(self.steps, self.ordinal, len(self.candidates))
+            HypothesisRecord(self.steps, self._ordinals[self.ordinal], len(self.candidates))
         )
         return action
 

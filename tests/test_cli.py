@@ -1,7 +1,10 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -14,7 +17,7 @@ from tgames import (
     serialize_game,
     serialize_transducer,
 )
-from tgames.cli import main
+from tgames.cli import build_parser, main
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -303,3 +306,33 @@ class TestReport:
         main(["check-live", game_file, "-k", "1"])
         err = capsys.readouterr().err
         assert "REPORT outcome ok" in err
+
+
+class TestReadme:
+    @staticmethod
+    def _command_line_section():
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text()
+        start = text.index("## Command line")
+        return text[start : text.index("\n## ", start)]
+
+    @staticmethod
+    def _options(parser):
+        """The option strings of every non-help option of `parser` and of
+        its subcommands, grouped per option."""
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from TestReadme._options(sub)
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                yield action.option_strings
+
+    def test_command_line_section_matches_parser(self):
+        section = self._command_line_section()
+        tokens = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", section))
+        groups = list(self._options(build_parser()))
+        missing = [g for g in groups if not tokens.intersection(g)]
+        assert not missing, f"options the README does not name: {missing}"
+        accepted = {opt for g in groups for opt in g}
+        unknown = {t for t in tokens if t.startswith("--")} - accepted
+        assert not unknown, f"README options the parser rejects: {sorted(unknown)}"

@@ -187,6 +187,16 @@ class TestKnowledgeArena:
                         assert res.arena.belief_of[v] == (u, frozenset(belief))
                 assert len(wins) == 1
 
+    def test_beliefs_read_without_enumerating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reading beliefs enumerated every machine")
+
+        monkeypatch.setattr(synthesis, "enumerate_transducers", refuse)
+        g = paradise_game()
+        res = solve_bounded(g, 2)
+        start = frozenset((o, 0) for o in range(count(2, AB, XY)))
+        assert res.arena.belief_of[0] == (g.initial, start)
+
     def test_answers_pinned(self):
         # every 25th criterion-2a formula; the digest was recorded with the
         # frozenset beliefs and the GameGraph solver, and criterion 2b's
@@ -353,6 +363,19 @@ class TestAdaptiveController:
         ctrl = adaptive_controller(g, 5)
         assert ctrl.hypotheses == total
         assert ctrl.next_action(g.alphabet1[0]) in g.alphabet2
+
+    def test_dedupe_log_records_machine_ordinals(self):
+        g = robot_scenario(2)
+        reps = {
+            canonical_ordinal(t)
+            for t in dedupe_behavioral(enumerate_transducers(2, g.alphabet1, g.alphabet2))
+        }
+        ctrl = adaptive_controller(g, 2, dedupe=True)
+        hidden = from_ordinal(4505, 2, g.alphabet1, g.alphabet2)
+        simulate(g, ctrl, hidden, steps_bound(g.n, 2, g.alphabet1, g.alphabet2))
+        assert ctrl.log
+        assert {rec.ordinal for rec in ctrl.log} <= reps
+        assert ctrl.log[-1].ordinal == canonical_ordinal(ctrl._product().transducer)
 
     def test_holds_one_product_at_a_time(self, monkeypatch):
         original = synthesis.build_product

@@ -51,7 +51,9 @@ class _Report:
             "command": command,
             "version": __version__,
             "inputs": [],
-            "parameters": {},
+            "parameters": {
+                k: v for k, v in vars(args).items() if k not in ("func", "command", "json_report")
+            },
             "outcome": "error",
             "stats": {},
         }
@@ -138,7 +140,7 @@ def _cmd_product(args, report) -> int:
 
 def _cmd_check_live(args, report) -> int:
     g = _load_game(args.game, report)
-    verdict = check_k_live(g, args.k, dedupe=args.dedupe, cap=args.cap)
+    verdict = check_k_live(g, args.k, cap=args.cap)
     stats = {
         "transducers": verdict.stats.transducers_examined,
         "windows": verdict.stats.windows,
@@ -167,9 +169,7 @@ def _cmd_check_live(args, report) -> int:
 def _cmd_solve(args, report) -> int:
     g = _load_game(args.game, report)
     if args.method == "belief":
-        result = solve_bounded(
-            g, args.k, dedupe=args.dedupe, belief_cap=args.cap, machine_cap=args.cap
-        )
+        result = solve_bounded(g, args.k, belief_cap=args.cap, machine_cap=args.cap)
         if result.p2_wins is None:
             print(f"undecided: {result.reason}")
             report.finish("undecided-at-cap", positions=result.positions)
@@ -179,7 +179,7 @@ def _cmd_solve(args, report) -> int:
             "ok" if result.p2_wins else "p1-wins", positions=result.positions
         )
         return EXIT_OK if result.p2_wins else EXIT_NEGATIVE
-    verdict = check_k_live(g, args.k, dedupe=args.dedupe, cap=args.cap)
+    verdict = check_k_live(g, args.k, cap=args.cap)
     if verdict.undecided:
         print("undecided: machine count exceeds cap")
         report.finish("undecided-at-cap")
@@ -199,7 +199,7 @@ def _cmd_simulate(args, report) -> int:
     report.add_input(args.env, ttext)
     hidden = parse_transducer(ttext)
     k = args.k if args.k else hidden.k
-    controller = adaptive_controller(g, k, dedupe=args.dedupe)
+    controller = adaptive_controller(g, k)
     max_steps = args.max_steps or steps_bound(g.n, k, g.alphabet1, g.alphabet2)
     trace = simulate(g, controller, hidden, max_steps)
     if args.trace:
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-live", help="decide k-machine liveness")
     p.add_argument("game")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--dedupe", action="store_true")
     p.add_argument("--witness", help="write the counterexample machine here")
     p.set_defaults(func=_cmd_check_live)
 
@@ -324,14 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--method", choices=("belief", "live"), default="belief")
-    p.add_argument("--dedupe", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("simulate", help="play the adaptive controller")
     p.add_argument("game")
     p.add_argument("--env", required=True, help="hidden environment machine")
     p.add_argument("-k", type=int, default=0, help="bound (default: machine size)")
-    p.add_argument("--dedupe", action="store_true")
     p.add_argument("--max-steps", type=int, default=0)
     p.add_argument("--trace", help="write a step-by-step trace here")
     p.set_defaults(func=_cmd_simulate)
@@ -365,8 +362,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unknown_global_option(parser: argparse.ArgumentParser, argv) -> str | None:
+    """The first option before the subcommand that `parser` does not take,
+    or None.  argparse skips such an option and reads its value as the
+    subcommand, so `--jobs 2 check-live` would be reported as an invalid
+    subcommand '2'."""
+    rest = iter(argv)
+    for arg in rest:
+        if not arg.startswith("-") or arg == "--":
+            return None
+        opt = arg.split("=", 1)[0]
+        # argparse also takes a unique prefix of an option
+        known = [a for o, a in parser._option_string_actions.items() if o.startswith(opt)]
+        if not known:
+            return opt
+        if known[0].nargs != 0 and "=" not in arg:
+            next(rest, None)  # the option's value
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    unknown = _unknown_global_option(parser, sys.argv[1:] if argv is None else argv)
+    if unknown:
+        parser.error(f"unrecognized arguments: {unknown}")
     args = parser.parse_args(argv)
     report = _Report(args.command, args)
     try:

@@ -26,7 +26,6 @@ re-checks from scratch.  A window costs O(|V|·k·WINDOW) bits per set.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -38,7 +37,6 @@ from .solvers import _bfs_path
 from .transducers import (
     Transducer,
     agrees,
-    behavior_key,
     count,
     enumerate_transducers,
     from_ordinal,
@@ -223,49 +221,33 @@ class _Kernel:
             z = y
 
 
-def _sweep(g: GameGraph, k: int, stats: LivenessStats, dedupe: bool = False) -> Optional[int]:
+def _sweep(g: GameGraph, k: int, stats: LivenessStats) -> Optional[int]:
     """The first ordinal whose machine fails, or None.
 
     Windows are decided in ordinal order and the sweep stops at the first
     one holding a failure.  Each window adds to `stats.windows` and counts
-    the machines up to the first failure into `stats.transducers_examined`;
-    with `dedupe` only the first machine of each behavior class counts.
-    The first failing machine is always such a first one, because failing
-    depends only on behavior."""
+    the machines up to the first failure into `stats.transducers_examined`."""
     kernel = _Kernel(g, k)
     total = count(k, g.alphabet1, g.alphabet2)
-    stream = enumerate_transducers(k, g.alphabet1, g.alphabet2) if dedupe else None
-    seen: set = set()
     for start in range(0, total, WINDOW):
         stop = min(start + WINDOW, total)
         stats.windows += 1
         fail = kernel.failing(start, stop)
         first = (fail & -fail).bit_length() - 1  # -1 when nothing fails
-        upto = first + 1 if fail else stop - start
-        if stream is None:
-            stats.transducers_examined += upto
-        else:
-            for t in itertools.islice(stream, upto):
-                key = behavior_key(t)
-                if key not in seen:
-                    seen.add(key)
-                    stats.transducers_examined += 1
+        stats.transducers_examined += first + 1 if fail else stop - start
         if fail:
             return start + first
     return None
 
 
-def check_k_live(
-    g: GameGraph, k: int, dedupe: bool = False, cap: int = DEFAULT_CAP
-) -> LivenessVerdict:
+def check_k_live(g: GameGraph, k: int, cap: int = DEFAULT_CAP) -> LivenessVerdict:
     """Sweep all k-state machines; not-live when one admits a reachable
     position that player 2 loses under the arena's objective.  The witness
     is the first such machine in ordinal order.
 
     A machine count above `cap` yields an undecided verdict instead of a
-    silent multi-day run.  `dedupe` counts one machine per behavior class
-    in `stats.transducers_examined` (the verdict and witness only depend on
-    induced strategies, so they do not change).
+    silent multi-day run.  `stats.transducers_examined` counts the machines
+    up to and including the witness, or all of them when the game is live.
     """
     if k < 1:
         raise GameError("k must be >= 1")
@@ -277,7 +259,7 @@ def check_k_live(
         stats.wall_time = time.perf_counter() - started
         return LivenessVerdict(live=None, stats=stats)
 
-    ordinal = _sweep(g, k, stats, dedupe)
+    ordinal = _sweep(g, k, stats)
     if ordinal is None:
         verdict = LivenessVerdict(live=True, stats=stats)
     else:

@@ -425,7 +425,6 @@ class CnfCrossCheck:
 def cnf_liveness_cross_check(
     phi: CnfFormula,
     k: Optional[int] = None,
-    dedupe: bool = False,
     cap: int = 10_000_000,
 ) -> CnfCrossCheck:
     """Cross-check the CNF game against the satisfiability oracle:
@@ -435,7 +434,7 @@ def cnf_liveness_cross_check(
     k = phi.k if k is None else k
     sat = sat_brute_force(phi)
     g = cnf_to_game(phi)
-    verdict = check_k_live(g, k, dedupe=dedupe, cap=cap)
+    verdict = check_k_live(g, k, cap=cap)
     if verdict.undecided:
         return CnfCrossCheck(sat, None, None, verdict=verdict)
     agrees = (sat is None) == verdict.live
@@ -604,7 +603,6 @@ class QbfCrossCheck:
 
 def qbf_value_cross_check(
     psi: QbfFormula,
-    dedupe: bool = False,
     machine_cap: int = 10_000_000,
     belief_cap: int = 1_000_000,
 ) -> QbfCrossCheck:
@@ -618,9 +616,7 @@ def qbf_value_cross_check(
     losing for player 2 outright."""
     valid = qbf_brute_force(psi)
     g = qbf_to_game(psi)
-    solved = solve_bounded(
-        g, psi.k + 1, dedupe=dedupe, machine_cap=machine_cap, belief_cap=belief_cap
-    )
+    solved = solve_bounded(g, psi.k + 1, machine_cap=machine_cap, belief_cap=belief_cap)
     game_agrees = None if solved.p2_wins is None else (solved.p2_wins == valid)
     result = QbfCrossCheck(valid, solved.p2_wins, game_agrees)
     if not valid:

@@ -54,9 +54,7 @@ from .product import (
 )
 from .transducers import (
     Transducer,
-    canonical_ordinal,
     count,
-    dedupe_behavioral,
     enumerate_transducers,
     from_ordinal,
     machine_masks,
@@ -74,26 +72,17 @@ class BeliefArena:
     `graph` names each position `(<game vertex>,<belief number>)`, beliefs
     numbered in order of first appearance; `belief_of` maps each position
     id to (game vertex id, belief as (ordinal, state) pairs); `machines`
-    maps each ordinal in the pool, in bit order, to its machine.  All three
-    are built on first read.
+    maps each ordinal to its k-state machine.  All three are built on first
+    read.
     """
 
     def __init__(
-        self,
-        base: GameGraph,
-        rows: list[list[int]],
-        order: list[tuple[int, int]],
-        k: int,
-        machines: Optional[dict[int, Transducer]] = None,
+        self, base: GameGraph, rows: list[list[int]], order: list[tuple[int, int]], k: int
     ):
-        self._base, self._rows, self._order = base, rows, order
-        self._k, self._machines = k, machines
+        self._base, self._rows, self._order, self._k = base, rows, order, k
 
     @cached_property
     def machines(self) -> dict[int, Transducer]:
-        """The pool given at construction, or every k-state machine."""
-        if self._machines is not None:
-            return self._machines
         g = self._base
         return dict(enumerate(enumerate_transducers(self._k, g.alphabet1, g.alphabet2)))
 
@@ -136,15 +125,15 @@ class BoundedSolveResult:
 def solve_bounded(
     g: GameGraph,
     k: int,
-    dedupe: bool = False,
     belief_cap: int = DEFAULT_BELIEF_CAP,
     machine_cap: int = DEFAULT_MACHINE_CAP,
 ) -> BoundedSolveResult:
     """Can player 2 win against every k-state machine?
 
-    Builds the reachable knowledge arena, scored under `g.objective`, and
-    hands its integer form to the parity solver.  Beliefs only ever shrink
-    along a play and the machine pool is finite, so an infinite play
+    Builds the knowledge arena reachable from the belief that every k-state
+    machine may be playing, each in state 0, scores it under `g.objective`,
+    and hands its integer form to the parity solver.  Beliefs only ever
+    shrink along a play and the machine pool is finite, so an infinite play
     consistent at every prefix is consistent with one fixed machine: the
     arena decides exactly the bounded-environment question.  The named
     arena and the decoded beliefs in `result.arena` are built only when read.
@@ -159,8 +148,7 @@ def solve_bounded(
     # bit j of slice s is set when machine j may be in state s.  Beliefs are
     # the observer states of the explorer.  label_mask[a] holds the pairs
     # emitting a; moves[b][s * k + s2] the machines that go from s to s2 on
-    # b, in slice s.  Every machine starts in state 0; `dedupe` starts only
-    # the behaviour-class representatives.
+    # b, in slice s.  Every machine starts in state 0.
     labels, steps = machine_masks(k, g.alphabet1, g.alphabet2, 0, total)
     label_mask = {
         a: sum(labels[s][i] << (s * total) for s in range(k))
@@ -170,12 +158,6 @@ def solve_bounded(
         b: [steps[s][i][s2] << (s * total) for s in range(k) for s2 in range(k)]
         for i, b in enumerate(g.alphabet2)
     }
-    machines: Optional[dict[int, Transducer]] = None  # every machine when None
-    start = (1 << total) - 1
-    if dedupe:
-        stream = dedupe_behavioral(enumerate_transducers(k, g.alphabet1, g.alphabet2))
-        machines = {canonical_ordinal(t): t for t in stream}
-        start = sum(1 << j for j in machines)
     shifts = {
         b: [(m, (i // k) * total, (i % k) * total) for i, m in enumerate(row) if m]
         for b, row in moves.items()
@@ -191,7 +173,7 @@ def solve_bounded(
             y |= (x & m) >> low << high
         return y
 
-    rows, _positions, order = _explore(g, start, offer, step, belief_cap)
+    rows, _positions, order = _explore(g, (1 << total) - 1, offer, step, belief_cap)
     if rows is None:
         return BoundedSolveResult(
             None, reason="belief position count above cap", positions=len(order)
@@ -204,7 +186,7 @@ def solve_bounded(
         p2_wins=0 in solution.region2,
         positions=len(order),
         strategy=strategy,
-        arena=BeliefArena(g, rows, order, k, machines),
+        arena=BeliefArena(g, rows, order, k),
         solution=solution,
     )
 
@@ -237,14 +219,16 @@ class Trace:
 class AdaptiveController:
     """Online player-2 strategy that learns the environment machine.
 
-    The controller walks the machine enumeration.  For the current
-    hypothesis it keeps `candidates`: machine states m such that (current
-    vertex, m) is reachable in the hypothesis' product and no observation
-    since has contradicted m.  It conjectures the smallest candidate,
-    follows a winning lasso computed from that product position, advances
-    candidate states on its own moves, and drops candidates whose predicted
-    output a player-1 observation refutes.  An empty candidate set moves to
-    the next machine; after the last machine the scan wraps around.
+    The controller walks the machine enumeration: its hypotheses are all
+    `hypotheses` k-state machines, in ordinal order (Gold's identification
+    by enumeration).  For the current hypothesis it keeps `candidates`:
+    machine states m such that (current vertex, m) is reachable in the
+    hypothesis' product and no observation since has contradicted m.  It
+    conjectures the smallest candidate, follows a winning lasso computed
+    from that product position, advances candidate states on its own moves,
+    and drops candidates whose predicted output a player-1 observation
+    refutes.  An empty candidate set moves to the next machine; after the
+    last machine the scan wraps around.
 
     Hypotheses are skipped without building their products: a machine is
     worth a product only when some (current vertex, m) is reachable and
@@ -261,28 +245,16 @@ class AdaptiveController:
     lasso with a cursor, the current vertex, and the last scan window's
     masks, one per game vertex, O(|V|·2^12) bits.  A kernel pass over a
     window holds O(|V|·k·2^12) bits while it runs.  Observation history is
-    never kept.  With `dedupe` the hypotheses are the behaviour-class
-    representatives instead, whose ordinals ascend, so the controller also
-    keeps one ordinal per class and scans them the same way.
-    `products_built` and `scan_windows` count the products and kernel
-    passes so far.
+    never kept.  `products_built` and `scan_windows` count the products
+    and kernel passes so far.
     """
 
-    def __init__(self, g: GameGraph, k: int, dedupe: bool = False):
+    def __init__(self, g: GameGraph, k: int):
         if not g.is_total():
             raise GameError("the controller needs a total arena")
         self.game = g
         self.k = k
-        self._machines = count(k, g.alphabet1, g.alphabet2)
-        self._ordinals: Sequence[int] = range(self._machines)
-        if dedupe:
-            self._ordinals = tuple(
-                canonical_ordinal(t)
-                for t in dedupe_behavioral(
-                    enumerate_transducers(k, g.alphabet1, g.alphabet2)
-                )
-            )
-        self.hypotheses = len(self._ordinals) if dedupe else self._machines
+        self.hypotheses = count(k, g.alphabet1, g.alphabet2)
         self.vertex = g.initial
         self.ordinal = 0
         self.candidates: list[int] = []
@@ -305,9 +277,7 @@ class AdaptiveController:
         if self._held is None or self._held[0] != self.ordinal:
             self._held = None  # let the old product go before building
             g = self.game
-            machine = from_ordinal(
-                self._ordinals[self.ordinal], self.k, g.alphabet1, g.alphabet2
-            )
+            machine = from_ordinal(self.ordinal, self.k, g.alphabet1, g.alphabet2)
             self._held = (self.ordinal, build_product(g, machine))
             self.products_built += 1
         return self._held[1]
@@ -319,7 +289,7 @@ class AdaptiveController:
             self._window = None  # let the old masks go before the pass
             if self._kernel is None:
                 self._kernel = liveness._Kernel(self.game, self.k)
-            stop = min(start + liveness.SCAN_WINDOW, self._machines)
+            stop = min(start + liveness.SCAN_WINDOW, self.hypotheses)
             reach, win = self._kernel.sets(start, stop)
             k = self.k
             masks = []
@@ -332,33 +302,17 @@ class AdaptiveController:
             self.scan_windows += 1
         return self._window[1]
 
-    def _at_or_after(self, ordinal: int, lo: int, hi: int) -> int:
-        """The first hypothesis number in [lo, hi) whose ordinal is at least
-        `ordinal`, or `hi`.  (`bisect` takes no indices above sys.maxsize.)"""
-        ordinals = self._ordinals
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ordinals[mid] < ordinal:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def _next_marked(self, i: int, stop: int) -> Optional[int]:
-        """The first hypothesis number in [i, stop) whose bit is set at the
-        current vertex, or None."""
-        ordinals, size = self._ordinals, liveness.SCAN_WINDOW
+        """The first ordinal in [i, stop) whose bit is set at the current
+        vertex, or None."""
+        size = liveness.SCAN_WINDOW
         while i < stop:
-            ordinal = ordinals[i]
-            start = ordinal - ordinal % size
-            marked = self._window_masks(start)[self.vertex] >> (ordinal - start)
+            start = i - i % size
+            marked = self._window_masks(start)[self.vertex] >> (i - start)
             if marked:
-                ordinal += (marked & -marked).bit_length() - 1
-            else:
-                ordinal = start + size
-            i = self._at_or_after(ordinal, i, stop)
-            if marked and i < stop and ordinals[i] == ordinal:
-                return i
+                i += (marked & -marked).bit_length() - 1
+                return i if i < stop else None
+            i = start + size
         return None
 
     # -- hypothesis management ----------------------------------------------
@@ -491,9 +445,7 @@ class AdaptiveController:
                 self.conjecture = t.step(self.conjecture, action)
         self.vertex = g.step(self.vertex, action)
         self.steps += 1
-        self.log.append(
-            HypothesisRecord(self.steps, self._ordinals[self.ordinal], len(self.candidates))
-        )
+        self.log.append(HypothesisRecord(self.steps, self.ordinal, len(self.candidates)))
         return action
 
     def snapshot(self):
@@ -509,8 +461,8 @@ class AdaptiveController:
         )
 
 
-def adaptive_controller(g: GameGraph, k: int, dedupe: bool = False) -> AdaptiveController:
-    return AdaptiveController(g, k, dedupe=dedupe)
+def adaptive_controller(g: GameGraph, k: int) -> AdaptiveController:
+    return AdaptiveController(g, k)
 
 
 def simulate(

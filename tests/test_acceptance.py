@@ -78,7 +78,7 @@ def corpus():
 def test_criterion_1_cnf_liveness_equivalence():
     """k-liveness of the clause game coincides with unsatisfiability:
     exhaustively for every k=2 formula with one or two clauses, then for 100
-    random k=3 formulas under behavioral dedupe."""
+    random k=3 formulas."""
     lits2 = (1, -1, 2, -2)
     all_clauses = [
         c for r in (1, 2, 3, 4) for c in itertools.combinations(lits2, r)
@@ -101,7 +101,7 @@ def test_criterion_1_cnf_liveness_equivalence():
             for _ in range(rng.randrange(1, 4))
         )
         phi = CnfFormula(3, clauses)
-        live = check_k_live(cnf_to_game(phi), 3, dedupe=True).live
+        live = check_k_live(cnf_to_game(phi), 3).live
         if live != (sat_brute_force(phi) is None):
             ok = False
         checked += 1
@@ -310,8 +310,8 @@ def test_criterion_9_stretch_workspace_scenario():
     outcome is undecided-at-cap, reported as not-executed rather than as a
     failure."""
     g = robot_scenario(3)
-    live3 = check_k_live(g, 3, dedupe=True, cap=10_000_000)
-    win4 = solve_bounded(g, 4, dedupe=True, machine_cap=10_000_000)
+    live3 = check_k_live(g, 3, cap=10_000_000)
+    win4 = solve_bounded(g, 4, machine_cap=10_000_000)
     outcomes = []
     for name, value, expected in (
         ("3-state liveness", live3.live, True),

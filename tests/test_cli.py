@@ -155,6 +155,20 @@ class TestCheckLive:
     def test_cap_exit_two(self, game_file):
         assert main(["--cap", "5", "check-live", game_file, "-k", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--jobs", "2", "check-live", "GAME", "-k", "2"], "--jobs"),
+            (["--cap", "5", "--jobs=2", "check-live", "GAME", "-k", "2"], "--jobs"),
+            (["check-live", "GAME", "-k", "2", "--dedupe"], "--dedupe"),
+        ],
+    )
+    def test_removed_flag_is_named(self, game_file, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main([game_file if a == "GAME" else a for a in argv])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_belief(self, game_file, capsys):
@@ -301,6 +315,7 @@ class TestReport:
         assert r1.read_text() == r2.read_text()
         assert d1["outcome"] == "ok"
         assert d1["stats"] == {"transducers": 2, "windows": 1, "k": 1}
+        assert d1["parameters"]["k"] == 1
 
     def test_report_lines_on_stderr(self, game_file, capsys):
         main(["check-live", game_file, "-k", "1"])

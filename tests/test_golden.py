@@ -8,7 +8,6 @@ answers on purpose re-pins only its own section and says why.
 """
 
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -82,18 +81,17 @@ def liveness_answers():
     games = [(g, k) for g in arenas() for k in (1, 2)]
     games += [(cnf_to_game(phi), k) for phi in cnfs for k in (2, 3)]
     for g, k in games:
-        for dedupe in (False, True):
-            v = check_k_live(g, k, dedupe=dedupe)
-            w = v.witness
-            yield v.live, v.stats.transducers_examined
-            if w is not None:
-                yield w.transducer.labels, w.transducer.trans, w.alpha, w.position
+        v = check_k_live(g, k)
+        w = v.witness
+        yield v.live, v.stats.transducers_examined
+        if w is not None:
+            yield w.transducer.labels, w.transducer.trans, w.alpha, w.position
 
 
 def bounded_answers():
     for g in arenas():
-        for k, dedupe in itertools.product((1, 2), (False, True)):
-            res = solve_bounded(g, k, dedupe=dedupe)
+        for k in (1, 2):
+            res = solve_bounded(g, k)
             yield res.p2_wins, res.positions, sorted(res.strategy.items())
 
 
@@ -133,8 +131,8 @@ def cli_answers(tmp_path):
 
 PINNED = {
     "products": "97fd675361d8eebba53db2ba8ae03baa82264306c8bad8bffdd9f3d6a4e9d8ba",
-    "liveness": "4ba6a85818581c3a62b5297bd998e68190c73eb7fc43cf8d18dddccc715858e5",
-    "bounded": "1737ad64445ce156740e74f42a639bca4e5b3fc4f2ee3ec8dea37dbef61721c1",
+    "liveness": "0972491d0baf66078463d2135c720e9a8d93ef97fc4c895e7dca7964469b3305",
+    "bounded": "d572f406e3c6f6eea2cd218608984a9edec6cf6fabd1dce4c72cbbb8100268b1",
     "traces": "2d25d038195f3c3eaf2197cbc88184977bbd04a4d733546a6047bbecf9625270",
     "criterion_2a": "d77b29dee2a5435cd7324f3daeaa11257ff95dc34ddc4cb54b1beb06fbcbd099",
 }

@@ -14,7 +14,6 @@ from tgames import (
     cnf_to_game,
     complete,
     count,
-    dedupe_behavioral,
     enumerate_transducers,
     from_ordinal,
     make_game,
@@ -95,15 +94,6 @@ class TestCheckKLive:
         assert check_k_live(g, 1, cap=2).live is True
         assert check_k_live(g, 1, cap=1).undecided
 
-    def test_dedupe_neutrality(self):
-        rng = random.Random(21)
-        for _ in range(12):
-            obj = rng.choice(["reachability", "buchi", "parity"])
-            g = random_game(rng, rng.randrange(2, 4), rng.randrange(2, 4), AB, XY, obj)
-            a = check_k_live(g, 2)
-            b = check_k_live(g, 2, dedupe=True)
-            assert a.live == b.live
-
     def test_requires_total(self):
         g = make_game(
             "parity", AB, XY,
@@ -143,14 +133,11 @@ class TestSweepOracle:
                 )
 
     @staticmethod
-    def _one_by_one(g, k, dedupe):
+    def _one_by_one(g, k):
         """Verdict, witness and count of a sweep that solves one product per
         machine, in ordinal order."""
-        stream = enumerate_transducers(k, g.alphabet1, g.alphabet2)
-        if dedupe:
-            stream = dedupe_behavioral(stream)
         examined = 0
-        for t in stream:
+        for t in enumerate_transducers(k, g.alphabet1, g.alphabet2):
             examined += 1
             w = liveness._scan_machine(g, t)
             if w is not None:
@@ -181,17 +168,16 @@ class TestSweepOracle:
         monkeypatch.setattr(liveness, "WINDOW", 7)
         for g in self._arenas():
             for k in (1, 2):
-                for dedupe in (False, True):
-                    live, w, examined = self._one_by_one(g, k, dedupe)
-                    v = check_k_live(g, k, dedupe=dedupe)
-                    assert v.live == live
-                    assert v.witness == w
-                    assert v.stats.transducers_examined == examined
-                    # windows run up to the one holding the witness
-                    stop = count(k, AB, g.alphabet2)
-                    if w is not None:
-                        stop = canonical_ordinal(w.transducer) + 1
-                    assert v.stats.windows == -(-stop // 7)
+                live, w, examined = self._one_by_one(g, k)
+                v = check_k_live(g, k)
+                assert v.live == live
+                assert v.witness == w
+                assert v.stats.transducers_examined == examined
+                # windows run up to the one holding the witness
+                stop = count(k, AB, g.alphabet2)
+                if w is not None:
+                    stop = canonical_ordinal(w.transducer) + 1
+                assert v.stats.windows == -(-stop // 7)
 
 
 class TestVerifyWitness:

@@ -10,14 +10,15 @@ from collections import deque
 import pytest
 
 from tgames import (
+    CnfFormula,
     QbfFormula,
     Transducer,
     Word,
     adaptive_controller,
     canonical_ordinal,
     check_k_live,
+    cnf_to_game,
     count,
-    dedupe_behavioral,
     enumerate_transducers,
     from_ordinal,
     make_game,
@@ -25,6 +26,7 @@ from tgames import (
     qbf_brute_force,
     qbf_to_game,
     robot_scenario,
+    sat_brute_force,
     serialize_game,
     simulate,
     solve_bounded,
@@ -163,29 +165,22 @@ class TestKnowledgeArena:
         for _ in range(4):
             g = random_game(rng, rng.randrange(2, 5), rng.randrange(2, 5), AB, XY, objective)
             for k in (1, 2):
-                wins = set()
-                for dedupe in (False, True):
-                    stream = enumerate_transducers(k, AB, XY)
-                    if dedupe:
-                        stream = dedupe_behavioral(stream)
-                    pool = {canonical_ordinal(t): t for t in stream}
-                    res = solve_bounded(g, k, dedupe=dedupe)
-                    wins.add(res.p2_wins)
-                    paths = self._paths(res.arena.graph)
-                    assert set(res.arena.belief_of) == set(range(res.positions))
-                    for v in range(res.positions):
-                        # replay the path on the game with plain set semantics
-                        u = g.initial
-                        belief = {(o, t.initial) for o, t in pool.items()}
-                        for i, a in enumerate(paths[v]):
-                            if i % 2 == 0:
-                                belief = {(o, m) for o, m in belief if pool[o].labels[m] == a}
-                            else:
-                                belief = {(o, pool[o].step(m, a)) for o, m in belief}
-                            u = g.edges[(u, a)]
-                        assert belief
-                        assert res.arena.belief_of[v] == (u, frozenset(belief))
-                assert len(wins) == 1
+                pool = {canonical_ordinal(t): t for t in enumerate_transducers(k, AB, XY)}
+                res = solve_bounded(g, k)
+                paths = self._paths(res.arena.graph)
+                assert set(res.arena.belief_of) == set(range(res.positions))
+                for v in range(res.positions):
+                    # replay the path on the game with plain set semantics
+                    u = g.initial
+                    belief = {(o, t.initial) for o, t in pool.items()}
+                    for i, a in enumerate(paths[v]):
+                        if i % 2 == 0:
+                            belief = {(o, m) for o, m in belief if pool[o].labels[m] == a}
+                        else:
+                            belief = {(o, pool[o].step(m, a)) for o, m in belief}
+                        u = g.edges[(u, a)]
+                    assert belief
+                    assert res.arena.belief_of[v] == (u, frozenset(belief))
 
     def test_beliefs_read_without_enumerating(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -329,13 +324,11 @@ class TestAdaptiveController:
     def test_dedupe_controller_also_wins(self):
         g = paradise_game("reachability")
         for hidden in enumerate_transducers(2, AB, XY):
-            ctrl = adaptive_controller(g, 2, dedupe=True)
+            ctrl = adaptive_controller(g, 2)
             trace = simulate(g, ctrl, hidden, steps_bound(g.n, 2, AB, XY))
             assert trace.winner == 2
 
     def test_dedupe_controller_wins_on_live_corpus_slice(self):
-        # the deduped hypothesis list replaces the hidden machine by a
-        # behaviorally equal representative; play must still be won
         rng = random.Random(34)
         machines = list(enumerate_transducers(2, AB, XY))
         live_seen = 0
@@ -347,7 +340,7 @@ class TestAdaptiveController:
             live_seen += 1
             bound = steps_bound(g.n, 2, AB, XY)
             for hidden in machines:
-                ctrl = adaptive_controller(g, 2, dedupe=True)
+                ctrl = adaptive_controller(g, 2)
                 assert simulate(g, ctrl, hidden, bound).winner == 2
 
     def test_hypotheses_are_not_enumerated(self, monkeypatch):
@@ -363,19 +356,6 @@ class TestAdaptiveController:
         ctrl = adaptive_controller(g, 5)
         assert ctrl.hypotheses == total
         assert ctrl.next_action(g.alphabet1[0]) in g.alphabet2
-
-    def test_dedupe_log_records_machine_ordinals(self):
-        g = robot_scenario(2)
-        reps = {
-            canonical_ordinal(t)
-            for t in dedupe_behavioral(enumerate_transducers(2, g.alphabet1, g.alphabet2))
-        }
-        ctrl = adaptive_controller(g, 2, dedupe=True)
-        hidden = from_ordinal(4505, 2, g.alphabet1, g.alphabet2)
-        simulate(g, ctrl, hidden, steps_bound(g.n, 2, g.alphabet1, g.alphabet2))
-        assert ctrl.log
-        assert {rec.ordinal for rec in ctrl.log} <= reps
-        assert ctrl.log[-1].ordinal == canonical_ordinal(ctrl._product().transducer)
 
     def test_holds_one_product_at_a_time(self, monkeypatch):
         original = synthesis.build_product
@@ -402,8 +382,22 @@ class TestAdaptiveController:
 
 class TestWindowedScan:
     """The controller's windowed hypothesis scan against one product per
-    hypothesis (`helpers.product_scan`), with windows of 7 machines so that
-    scans cross window edges, wrap around, and sometimes find nothing."""
+    hypothesis (`helpers.product_scan`), mostly with windows of 7 machines
+    so that scans cross window edges, wrap around, and sometimes find
+    nothing."""
+
+    @staticmethod
+    def _play(fresh, hidden):
+        """A copy of `fresh` plays against `hidden`; the trace and the
+        (vertex, ordinal) at the start of every scan in the play."""
+        ctrl = copy.copy(fresh)
+        ctrl.log = []
+        starts = []
+        scan = ctrl._scan
+        ctrl._scan = lambda: starts.append((ctrl.vertex, ctrl.ordinal)) or scan()
+        g = fresh.game
+        trace = simulate(g, ctrl, hidden, steps_bound(g.n, fresh.k, g.alphabet1, g.alphabet2))
+        return trace, starts
 
     @staticmethod
     def _scan_from(ctrl, vertex, ordinal, scan):
@@ -434,34 +428,50 @@ class TestWindowedScan:
             for _ in range(4):
                 g = random_game(rng, rng.randrange(2, 5), rng.randrange(2, 5), AB, XY, objective)
                 for k in (1, 2):
-                    for dedupe in (False, True):
-                        ctrl = adaptive_controller(g, k, dedupe=dedupe)
-                        last = ctrl.hypotheses - 1
-                        starts = [
-                            (v.id, o)
-                            for v in g.vertices
-                            for o in {0, last, rng.randrange(last + 1)}
-                        ]
-                        self._compare(ctrl, starts, seen)
+                    ctrl = adaptive_controller(g, k)
+                    last = ctrl.hypotheses - 1
+                    starts = [
+                        (v.id, o) for v in g.vertices for o in {0, last, rng.randrange(last + 1)}
+                    ]
+                    self._compare(ctrl, starts, seen)
         assert min(seen.values()) > 0, seen
 
-    @pytest.mark.parametrize("dedupe", [False, True])
-    def test_robot(self, monkeypatch, dedupe):
+    def test_robot(self, monkeypatch):
         # the starts of every scan in a play against machine 4505, whose
         # long scan skips about 4,000 hypotheses
         monkeypatch.setattr(liveness, "SCAN_WINDOW", 7)
         g = robot_scenario(2)
-        fresh = adaptive_controller(g, 2, dedupe=dedupe)
-        ctrl = copy.copy(fresh)
-        ctrl.log = []
-        starts = []
-        scan = ctrl._scan
-        ctrl._scan = lambda: starts.append((ctrl.vertex, ctrl.ordinal)) or scan()
-        hidden = from_ordinal(4505, 2, g.alphabet1, g.alphabet2)
-        simulate(g, ctrl, hidden, steps_bound(g.n, 2, g.alphabet1, g.alphabet2))
+        fresh = adaptive_controller(g, 2)
+        _trace, starts = self._play(fresh, from_ordinal(4505, 2, g.alphabet1, g.alphabet2))
         seen = {"full wrap": 0, "wrapped": 0, "window edges": 0}
         self._compare(fresh, starts, seen)
         assert seen["window edges"] > 0
+
+    def test_unsat_cnf_games(self):
+        # Three unsatisfiable 3-variable CNF games at k = 3: player 1 wins
+        # the base game, so the controller must learn the hidden machine.
+        # Each has 5,832 machines, two 4,096-ordinal scan windows; a fixed
+        # sample of 60 hidden machines per game plays with the real window.
+        rng = random.Random("controller-cnf")
+        lits = (1, -1, 2, -2, 3, -3)
+        games = []
+        while len(games) < 3:
+            clauses = tuple(tuple(rng.sample(lits, rng.randrange(1, 4))) for _ in range(4))
+            if sat_brute_force(CnfFormula(3, clauses)) is None:
+                games.append(cnf_to_game(CnfFormula(3, clauses)))
+        kernel_passes = 0
+        for g in games:
+            fresh = adaptive_controller(g, 3)
+            assert fresh.hypotheses == 5832
+            for ordinal in sorted(rng.sample(range(fresh.hypotheses), 60)):
+                trace, starts = self._play(fresh, from_ordinal(ordinal, 3, g.alphabet1, g.alphabet2))
+                assert trace.winner == 2
+                fast = adaptive_controller(g, 3)
+                seen = {"full wrap": 0, "wrapped": 0, "window edges": 0}
+                self._compare(fast, starts, seen)
+                assert seen["full wrap"] == 0  # the game is live: the hidden machine qualifies
+                kernel_passes += fast.scan_windows
+        assert kernel_passes > 0
 
     def test_counters_pinned(self):
         # products built and kernel passes of a fresh controller's whole

@@ -95,6 +95,16 @@ def bounded_answers():
             yield res.p2_wins, res.positions, sorted(res.strategy.items())
 
 
+def bounded_verdict_answers():
+    """`p2_wins` alone: the knowledge arena's shape may change, its answers
+    may not."""
+    for g in arenas():
+        for k in (1, 2):
+            yield solve_bounded(g, k).p2_wins
+    for psi in one_pair_formulas():
+        yield solve_bounded(qbf_to_game(psi), 2).p2_wins
+
+
 def trace_answers():
     g = robot_scenario(2)
     bound = steps_bound(g.n, 2, g.alphabet1, g.alphabet2)
@@ -133,6 +143,7 @@ PINNED = {
     "products": "97fd675361d8eebba53db2ba8ae03baa82264306c8bad8bffdd9f3d6a4e9d8ba",
     "liveness": "0972491d0baf66078463d2135c720e9a8d93ef97fc4c895e7dca7964469b3305",
     "bounded": "d572f406e3c6f6eea2cd218608984a9edec6cf6fabd1dce4c72cbbb8100268b1",
+    "bounded_verdicts": "d7b23ee3b3227895dad244e785e7ae227a43735098119f4fc9137583823ce6d2",
     "traces": "2d25d038195f3c3eaf2197cbc88184977bbd04a4d733546a6047bbecf9625270",
     "criterion_2a": "d77b29dee2a5435cd7324f3daeaa11257ff95dc34ddc4cb54b1beb06fbcbd099",
 }
@@ -144,6 +155,7 @@ PINNED = {
         ("products", product_answers),
         ("liveness", liveness_answers),
         ("bounded", bounded_answers),
+        ("bounded_verdicts", bounded_verdict_answers),
         ("traces", trace_answers),
         ("criterion_2a", criterion_2a_answers),
     ],

@@ -170,14 +170,13 @@ def _cmd_solve(args, report) -> int:
     g = _load_game(args.game, report)
     if args.method == "belief":
         result = solve_bounded(g, args.k, belief_cap=args.cap, machine_cap=args.cap)
+        sizes = {"positions": result.positions, "settled": result.settled}
         if result.p2_wins is None:
             print(f"undecided: {result.reason}")
-            report.finish("undecided-at-cap", positions=result.positions)
+            report.finish("undecided-at-cap", **sizes)
             return EXIT_UNDECIDED
         print("p2-wins" if result.p2_wins else "p1-wins")
-        report.finish(
-            "ok" if result.p2_wins else "p1-wins", positions=result.positions
-        )
+        report.finish("ok" if result.p2_wins else "p1-wins", **sizes)
         return EXIT_OK if result.p2_wins else EXIT_NEGATIVE
     verdict = check_k_live(g, args.k, cap=args.cap)
     if verdict.undecided:

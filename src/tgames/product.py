@@ -9,12 +9,12 @@ both the game vertex and the machine state.
 The product is one case of `_explore`, which crosses an arena with any
 deterministic observer whose states are ints: a machine here, and the
 subset construction over all k-state machines in `synthesis.solve_bounded`
-(whose states are belief bitmasks).  It numbers the reachable (vertex,
-state) pairs in breadth-first order and writes one successor row per
-vertex id, naming nothing.  `_int_arena` reads the rows as the parity
-solver's integer form, which is all `solve_bounded` needs; `_named_graph`
-names them as a `GameGraph`, which a product builds only when its `graph`
-is first read.
+(whose states are belief bitmasks, settled to `SETTLED` on player 2's base
+winning region).  It numbers the reachable (vertex, state) pairs in
+breadth-first order and writes one successor row per vertex id, naming
+nothing.  `_int_arena` reads the rows as the parity solver's integer form,
+which is all `solve_bounded` needs; `_named_graph` names them as a
+`GameGraph`, which a product builds only when its `graph` is first read.
 
 Because player 1 has no real choice left, each product solves in polynomial
 time via `solve_one_player` on its on-policy rows (`ProductGame.arena`),
@@ -37,6 +37,7 @@ from .transducers import Transducer, agrees, run
 Position = tuple[int, int]  # (base vertex id, machine state)
 
 TOP_NAMES = ("~top_a", "~top_b")  # player-2 paradise absorbing deviations
+SETTLED = -1  # observer state that offers every action and steps to itself
 
 
 class ProductGame:
@@ -114,6 +115,7 @@ def _explore(
     offer: Callable[[int], Mapping[str, int]],
     step: Callable[[int, str], int],
     cap: float = math.inf,
+    settled: frozenset[int] = frozenset(),
 ) -> tuple[Optional[list[list[int]]], dict[Position, int], list[Position]]:
     """Cross the total arena `g` with a deterministic observer.
 
@@ -121,19 +123,25 @@ def _explore(
     `start`) in breadth-first order.  At a player-1 position with state x,
     `offer(x)` maps each action the observer allows to its next state; every
     other action concedes to the `TOP_NAMES` paradise on the last two ids.
-    Player-2 actions advance the state by `step(x, b)`.  Returns the
+    Player-2 actions advance the state by `step(x, b)`.  A move into a base
+    vertex of `settled`, and the start when the initial vertex is one,
+    takes the state `SETTLED` instead, which offers every action and steps
+    to itself: from there on the play is the base arena's.  Returns the
     successor rows by vertex id, each in its owner's alphabet order, the
     position ids and the positions in id order; no position is named
     (`_named_graph` does that).  Exploration stops as soon as more than
     `cap` positions exist; the rows are then None.
     """
-    first = (g.initial, start)
+    first = (g.initial, SETTLED if g.initial in settled else start)
     positions: dict[Position, int] = {first: 0}
     order: list[Position] = [first]
     rows: list[list[int]] = []
     off: list[list[int]] = []  # rows with a move into the paradise, marked -1
 
     vertices, base_edges = g.vertices, g.edges
+    cut = bool(settled)
+    if cut:
+        offer, step = _with_sentinel(g.alphabet1, offer, step)
     i = 0
     while i < len(order) <= cap:  # stop once more than `cap` positions exist
         u, x = order[i]
@@ -148,8 +156,12 @@ def _explore(
                 pos = (base_edges[(u, a)], y)
                 j = positions.get(pos)
                 if j is None:
-                    j = positions[pos] = len(order)
-                    order.append(pos)
+                    if cut and pos[0] in settled:  # per new key, not per edge
+                        pos = (pos[0], SETTLED)
+                        j = positions.get(pos)
+                    if j is None:
+                        j = positions[pos] = len(order)
+                        order.append(pos)
                 row.append(j)
             if len(row) != len(moves):
                 off.append(row)
@@ -158,8 +170,12 @@ def _explore(
                 pos = (base_edges[(u, b)], step(x, b))
                 j = positions.get(pos)
                 if j is None:
-                    j = positions[pos] = len(order)
-                    order.append(pos)
+                    if cut and pos[0] in settled:
+                        pos = (pos[0], SETTLED)
+                        j = positions.get(pos)
+                    if j is None:
+                        j = positions[pos] = len(order)
+                        order.append(pos)
                 row.append(j)
         rows.append(row)
         i += 1
@@ -172,6 +188,24 @@ def _explore(
     rows.append([top_b] * len(g.alphabet1))
     rows.append([top_a] * len(g.alphabet2))
     return rows, positions, order
+
+
+def _with_sentinel(
+    alphabet1: Sequence[str],
+    offer: Callable[[int], Mapping[str, int]],
+    step: Callable[[int, str], int],
+) -> tuple[Callable[[int], Mapping[str, int]], Callable[[int, str], int]]:
+    """`offer` and `step` extended to `SETTLED`, which offers every action
+    and steps to itself."""
+    everything = dict.fromkeys(alphabet1, SETTLED)
+
+    def settled_offer(x: int) -> Mapping[str, int]:
+        return everything if x == SETTLED else offer(x)
+
+    def settled_step(x: int, b: str) -> int:
+        return SETTLED if x == SETTLED else step(x, b)
+
+    return settled_offer, settled_step
 
 
 def _named_graph(

@@ -125,6 +125,13 @@ def qbf_brute_force(psi: QbfFormula) -> bool:
 # DIMACS-style input
 
 
+def _ints(tokens: list[str], lineno: int, what: str) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise GameError(f"line {lineno}: bad {what}") from None
+
+
 def parse_dimacs_cnf(text: str) -> CnfFormula:
     nvars = nclauses = None
     clauses: list[tuple[int, ...]] = []
@@ -136,12 +143,9 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
             tok = line.split()
             if len(tok) != 4 or tok[1] != "cnf":
                 raise GameError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")
-            nvars, nclauses = int(tok[2]), int(tok[3])
+            nvars, nclauses = _ints(tok[2:], lineno, "problem line")
             continue
-        try:
-            lits = [int(t) for t in line.split()]
-        except ValueError:
-            raise GameError(f"line {lineno}: bad literal") from None
+        lits = _ints(line.split(), lineno, "literal")
         if not lits or lits[-1] != 0:
             raise GameError(f"line {lineno}: clause must end with 0")
         clauses.append(tuple(lits[:-1]))
@@ -167,7 +171,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
             tok = line.split()
             if len(tok) != 4 or tok[1] != "cnf":
                 raise GameError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")
-            nvars = int(tok[2])
+            nvars = _ints(tok[2:3], lineno, "problem line")[0]
             continue
         if line[0] in "ae":
             tok = line.split()
@@ -175,9 +179,9 @@ def parse_qdimacs(text: str) -> QbfFormula:
                 raise GameError(
                     f"line {lineno}: quantifier blocks must bind one variable"
                 )
-            prefix.append((tok[0], int(tok[1])))
+            prefix.append((tok[0], _ints(tok[1:2], lineno, "quantifier variable")[0]))
             continue
-        lits = [int(t) for t in line.split()]
+        lits = _ints(line.split(), lineno, "literal")
         if not lits or lits[-1] != 0:
             raise GameError(f"line {lineno}: clause must end with 0")
         clauses.append(tuple(lits[:-1]))

@@ -11,8 +11,14 @@ Two routes:
   is one int bitmask, k slices of one bit per machine, so the arena comes
   from the same explorer as a machine's product (`product._explore`), with
   the bitmask as the observer state; other labels concede to its paradise.
-  The parity solver gets the arena's integer form; the named `GameGraph`
-  and the decoded beliefs (`BeliefArena`) are built only when read.
+  One parity solve of the base game comes first: a k-state machine is one
+  player-1 strategy there, so player 2 wins from every belief at a vertex
+  of its base winning region W2.  A move into W2 therefore settles the
+  belief to the explorer's `SETTLED` state, which offers every label and
+  steps to itself, and play goes on in a copy of the base game of at most
+  |V| positions; `BoundedSolveResult.settled` counts them.  The parity
+  solver gets the arena's integer form; the named `GameGraph` and the
+  decoded beliefs (`BeliefArena`) are built only when read.
 
 * `adaptive_controller` produces the online strategy that wins every k-live
   game: hypothesize machines in enumeration order, track the candidate
@@ -44,6 +50,7 @@ from .graphs import make_game  # noqa: F401  -- unused here; bench/tracing.py wr
 from . import liveness
 from .solvers import ParitySolution, solve_parity
 from .product import (
+    SETTLED,
     ProductGame,
     _explore,
     _int_arena,
@@ -55,7 +62,7 @@ from .product import (
 from .transducers import (
     Transducer,
     count,
-    enumerate_transducers,
+    enumerate_transducers,  # noqa: F401  -- unused here; bench/tracing.py wraps it
     from_ordinal,
     machine_masks,
 )
@@ -71,9 +78,11 @@ class BeliefArena:
 
     `graph` names each position `(<game vertex>,<belief number>)`, beliefs
     numbered in order of first appearance; `belief_of` maps each position
-    id to (game vertex id, belief as (ordinal, state) pairs); `machines`
-    maps each ordinal to its k-state machine.  All three are built on first
-    read.
+    id to (game vertex id, belief as (ordinal, state) pairs).  A settled
+    position, one that play reached through a vertex of player 2's base
+    winning region, carries no belief: `belief_of` gives (vertex id, None)
+    there, and its belief number is that of the `SETTLED` state.  Both are
+    built on first read.
     """
 
     def __init__(
@@ -82,23 +91,18 @@ class BeliefArena:
         self._base, self._rows, self._order, self._k = base, rows, order, k
 
     @cached_property
-    def machines(self) -> dict[int, Transducer]:
-        g = self._base
-        return dict(enumerate(enumerate_transducers(self._k, g.alphabet1, g.alphabet2)))
-
-    @cached_property
     def graph(self) -> GameGraph:
         number: dict[int, int] = {}
         named = [(u, number.setdefault(x, len(number))) for u, x in self._order]
         return _named_graph(self._base, self._rows, named)
 
     @cached_property
-    def belief_of(self) -> dict[int, tuple[int, Belief]]:
+    def belief_of(self) -> dict[int, tuple[int, Optional[Belief]]]:
         g = self._base
         width = count(self._k, g.alphabet1, g.alphabet2)
-        decoded: dict[int, Belief] = {}
+        decoded: dict[int, Optional[Belief]] = {SETTLED: None}
 
-        def pairs(belief: int) -> Belief:
+        def pairs(belief: int) -> Optional[Belief]:
             if belief not in decoded:
                 out = []
                 rest = belief
@@ -117,6 +121,7 @@ class BoundedSolveResult:
     p2_wins: Optional[bool]  # None: hit a cap, undecided
     reason: str = ""
     positions: int = 0
+    settled: int = 0  # positions reached through player 2's base winning region
     strategy: dict[int, str] = field(default_factory=dict)
     arena: Optional[BeliefArena] = None
     solution: Optional[ParitySolution] = None
@@ -135,14 +140,20 @@ def solve_bounded(
     and hands its integer form to the parity solver.  Beliefs only ever
     shrink along a play and the machine pool is finite, so an infinite play
     consistent at every prefix is consistent with one fixed machine: the
-    arena decides exactly the bounded-environment question.  The named
-    arena and the decoded beliefs in `result.arena` are built only when read.
+    arena decides exactly the bounded-environment question.
+
+    Player 2 wins from every belief at a vertex of its base winning region,
+    so the explorer settles play there (`product.SETTLED`): one base solve
+    replaces every belief at such a vertex, and player 2 wins the settled
+    copy of the base game as it wins the base game.  The named arena and the
+    decoded beliefs in `result.arena` are built only when read.
     """
     if not g.is_total():
         raise GameError("solve_bounded requires a total arena")
     total = count(k, g.alphabet1, g.alphabet2)
     if total > machine_cap:
         return BoundedSolveResult(None, reason="machine count above cap")
+    base = solve_parity(g)
 
     # A belief is an int of k slices of N bits, N the number of machines:
     # bit j of slice s is set when machine j may be in state s.  Beliefs are
@@ -173,10 +184,16 @@ def solve_bounded(
             y |= (x & m) >> low << high
         return y
 
-    rows, _positions, order = _explore(g, (1 << total) - 1, offer, step, belief_cap)
+    rows, _positions, order = _explore(
+        g, (1 << total) - 1, offer, step, belief_cap, base.region2
+    )
+    settled = sum(x == SETTLED for _u, x in order)
     if rows is None:
         return BoundedSolveResult(
-            None, reason="belief position count above cap", positions=len(order)
+            None,
+            reason="belief position count above cap",
+            positions=len(order),
+            settled=settled,
         )
     solution = solve_parity(_int_arena(g, rows, order))
     strategy = {
@@ -185,6 +202,7 @@ def solve_bounded(
     return BoundedSolveResult(
         p2_wins=0 in solution.region2,
         positions=len(order),
+        settled=settled,
         strategy=strategy,
         arena=BeliefArena(g, rows, order, k),
         solution=solution,

@@ -11,13 +11,16 @@ import pytest
 
 import tgames
 from tgames import (
+    GameError,
     Transducer,
     make_game,
+    parse_dimacs_cnf,
     parse_game,
+    parse_qdimacs,
     serialize_game,
     serialize_transducer,
 )
-from tgames.cli import build_parser, main
+from tgames.cli import EXIT_INPUT, build_parser, main
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -175,6 +178,31 @@ class TestSolve:
         assert main(["solve", game_file, "-k", "1"]) == 0
         assert "p2-wins" in capsys.readouterr().out
 
+    def test_belief_report_counts_settled_positions(self, tmp_path):
+        # player 2 wins the paradise game's base game from the start, so
+        # every position is settled; the forcing game starts outside player
+        # 2's base winning region, and its 4 settled positions are the base
+        # game's copy reached through the color-2 vertex v
+        forcing = make_game(
+            "reachability", ("a", "b"), ("x",),
+            [("u", 1, 1), ("v", 2, 2), ("d1", 1, 1), ("d2", 2, 1)],
+            [
+                ("u", "a", "v"), ("u", "b", "d2"),
+                ("v", "x", "u"),
+                ("d1", "a", "d2"), ("d1", "b", "d2"), ("d2", "x", "d1"),
+            ],
+            "u",
+        )
+        stats = []
+        for text, code in ((paradise_text(), 0), (serialize_game(forcing), 1)):
+            game, rep = tmp_path / "g.bg", tmp_path / "r.json"
+            game.write_text(text)
+            argv = ["--deterministic", "--json-report", str(rep), "solve", str(game), "-k", "1"]
+            assert main(argv) == code
+            stats.append(json.loads(rep.read_text())["stats"])
+        assert stats[0] == {"positions": 2, "settled": 2}
+        assert stats[1] == {"positions": 7, "settled": 4}
+
     def test_live_method(self, game_file, capsys):
         assert main(["solve", game_file, "-k", "1", "--method", "live"]) == 0
 
@@ -226,6 +254,24 @@ class TestGen:
         assert main(["gen", "qbf", str(q), "-o", str(out)]) == 0
         g = parse_game(out.read_text())
         assert g.has_vertex("v1_1_F")
+
+    @pytest.mark.parametrize(
+        "family, text, line",
+        [
+            ("cnf", "p cnf 2 x\n1 0\n", 1),  # problem line
+            ("qbf", "p cnf two 1\na 1 0\ne 2 0\n1 2 0\n", 1),  # problem line
+            ("qbf", "p cnf 2 1\na x1 0\ne 2 0\n1 2 0\n", 2),  # quantifier variable
+            ("qbf", "p cnf 2 1\na 1 0\ne 2 0\n1 y 0\n", 4),  # clause literal
+        ],
+    )
+    def test_malformed_dimacs_is_an_input_error(self, tmp_path, capsys, family, text, line):
+        parse = parse_dimacs_cnf if family == "cnf" else parse_qdimacs
+        with pytest.raises(GameError, match=f"^line {line}: bad "):
+            parse(text)
+        doc = tmp_path / "f"
+        doc.write_text(text)
+        assert main(["gen", family, str(doc)]) == EXIT_INPUT
+        assert f"line {line}: bad " in capsys.readouterr().err
 
     def test_robot(self, tmp_path):
         out = tmp_path / "robot.bg"

@@ -17,11 +17,15 @@ the positions of no larger color).  A player-1 edge carries the machines
 whose state emits its action, a player-2 edge into state s2 the machines
 that step there; `transducers.machine_masks` builds both from the digits
 of the ordinals.  The machines that fail are the union of `reach & ~win`.
-Windows are swept in ordinal order up to the first one holding a failure;
-its lowest failing bit is the first failing machine in ordinal order, whose
-product is then built and solved once (`_scan_machine`) for the
-counterexample (machine, access word, position) that `verify_witness`
-re-checks from scratch.  A window costs O(|V|·k·WINDOW) bits per set.
+`first_marked` walks the windows in ordinal order up to the first one
+holding a failure; its lowest failing bit is the first failing machine in
+ordinal order, whose product is then built and solved once
+(`_scan_machine`) for the counterexample (machine, access word, position)
+that `verify_witness` re-checks from scratch.  A window costs
+O(|V|·k·WINDOW) bits per set.
+
+`word_in_Ak` walks the same windows with a set of (machine, state) pairs
+per window, in the layout of `transducers.MachineSet`, which owns it.
 """
 
 from __future__ import annotations
@@ -29,16 +33,17 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import REACHABILITY, GameError, GameGraph, Word
 from .product import ProductGame, build_product, p2_winning_positions, reachable_positions
 from .solvers import _bfs_path
 from .transducers import (
+    MachineSet,
     Transducer,
     agrees,
     count,
-    enumerate_transducers,
+    enumerate_transducers,  # noqa: F401  -- unused here; bench/tracing.py wraps it
     from_ordinal,
     machine_masks,
 )
@@ -221,22 +226,21 @@ class _Kernel:
             z = y
 
 
-def _sweep(g: GameGraph, k: int, stats: LivenessStats) -> Optional[int]:
-    """The first ordinal whose machine fails, or None.
+def first_marked(
+    marks: Callable[[int], int], i: int, stop: int, size: int
+) -> Optional[int]:
+    """The first ordinal in [i, stop) whose bit is set, or None.
 
-    Windows are decided in ordinal order and the sweep stops at the first
-    one holding a failure.  Each window adds to `stats.windows` and counts
-    the machines up to the first failure into `stats.transducers_examined`."""
-    kernel = _Kernel(g, k)
-    total = count(k, g.alphabet1, g.alphabet2)
-    for start in range(0, total, WINDOW):
-        stop = min(start + WINDOW, total)
-        stats.windows += 1
-        fail = kernel.failing(start, stop)
-        first = (fail & -fail).bit_length() - 1  # -1 when nothing fails
-        stats.transducers_examined += first + 1 if fail else stop - start
-        if fail:
-            return start + first
+    `marks(start)` is the bit mask of the aligned window [start, start +
+    size), bit j for ordinal start + j; windows are asked for in order and
+    only as far as the first mark."""
+    while i < stop:
+        start = i - i % size
+        marked = marks(start) >> (i - start)
+        if marked:
+            i += (marked & -marked).bit_length() - 1
+            return i if i < stop else None
+        i = start + size
     return None
 
 
@@ -247,7 +251,8 @@ def check_k_live(g: GameGraph, k: int, cap: int = DEFAULT_CAP) -> LivenessVerdic
 
     A machine count above `cap` yields an undecided verdict instead of a
     silent multi-day run.  `stats.transducers_examined` counts the machines
-    up to and including the witness, or all of them when the game is live.
+    up to and including the witness, or all of them when the game is live,
+    and `stats.windows` the ordinal windows that holds.
     """
     if k < 1:
         raise GameError("k must be >= 1")
@@ -255,11 +260,17 @@ def check_k_live(g: GameGraph, k: int, cap: int = DEFAULT_CAP) -> LivenessVerdic
         raise GameError("check_k_live requires a total arena (run complete first)")
     started = time.perf_counter()
     stats = LivenessStats()
-    if count(k, g.alphabet1, g.alphabet2) > cap:
+    total = count(k, g.alphabet1, g.alphabet2)
+    if total > cap:
         stats.wall_time = time.perf_counter() - started
         return LivenessVerdict(live=None, stats=stats)
 
-    ordinal = _sweep(g, k, stats)
+    kernel = _Kernel(g, k)
+    ordinal = first_marked(
+        lambda start: kernel.failing(start, min(start + WINDOW, total)), 0, total, WINDOW
+    )
+    stats.transducers_examined = total if ordinal is None else ordinal + 1
+    stats.windows = -(-stats.transducers_examined // WINDOW)
     if ordinal is None:
         verdict = LivenessVerdict(live=True, stats=stats)
     else:
@@ -303,10 +314,12 @@ def word_in_Ak(
 
     Existence is decided by folding the word's input-prefix chain into at
     most k states (exhaustive backtracking over state assignments with
-    forced-transition propagation).  When a machine exists the first one in
-    enumeration order is returned, found by scanning the enumeration; if the
-    machine space is above `enumeration_cap` the machine found by the search
-    itself is returned instead.
+    forced-transition propagation).  When the machine count is at most
+    `enumeration_cap`, the machine returned is the first agreeing one in
+    enumeration order: the word is replayed through the `MachineSet` of
+    each ordinal window in turn, and the lowest machine left in the first
+    window with a survivor is it.  Above the cap the machine the search
+    built is returned, which need not be the first.
     """
     outputs = tuple(outputs)
     inputs = tuple(inputs)
@@ -315,39 +328,39 @@ def word_in_Ak(
         # unroll far enough that any k-state machine agreeing with the
         # unrolled part repeats a (cycle position, state) pair
         actions += w.cycle * (k + 1)
-    # player-1 action 2i must be the label of the state reached after the
-    # player-2 actions before it, which are the first i of `chain`
-    required = dict(enumerate(actions[0::2]))
-    chain = actions[1 : 2 * len(required) - 2 : 2]
-    for sym in set(chain):
+    for sym in set(actions[1::2]):
         if sym not in inputs:
             raise GameError(f"player-2 action {sym!r} outside the input alphabet")
-    for out in required.values():
+    for out in set(actions[0::2]):
         if out not in outputs:
             raise GameError(f"player-1 action {out!r} outside the output alphabet")
-    length = len(chain)
+    found = _fold_chain(actions, k, outputs, inputs)
+    total = count(k, outputs, inputs)
+    if found is None or total > enumeration_cap:
+        return found
 
-    found = _fold_chain(chain, required, length, k, outputs, inputs)
-    if found is None:
-        return None
-    if count(k, outputs, inputs) <= enumeration_cap:
-        for t in enumerate_transducers(k, outputs, inputs):
-            if agrees(w, t):
-                return t
-        raise GameError("internal error: search found a machine, scan did not")
-    return found
+    def agreeing(start: int) -> int:
+        machines = MachineSet(k, outputs, inputs, start, min(start + WINDOW, total))
+        return machines.machines(machines.replay(actions))
+
+    first = first_marked(agreeing, 0, total, WINDOW)
+    return None if first is None else from_ordinal(first, k, outputs, inputs)
 
 
-def _fold_chain(chain, required, length, k, outputs, inputs):
-    """Assign a state to every chain position, merging under determinism.
+def _fold_chain(actions, k, outputs, inputs):
+    """A machine agreeing with `actions`, or None: assign a state to every
+    position of the word's input-prefix chain, merging under determinism.
 
     Depth-first over positions 1..length: a position whose transition is
     already fixed takes its forced state, any other tries every state used
     so far and then one new one, in increasing order.  The open positions
     live on an explicit stack, so no word length can overflow the call
     stack."""
-    if 0 in required and required[0] not in outputs:
-        return None
+    # player-1 action 2i must be the label of the state reached after the
+    # player-2 actions before it, which are the first i of `chain`
+    required = dict(enumerate(actions[0::2]))
+    chain = actions[1 : 2 * len(required) - 2 : 2]
+    length = len(chain)
     labels: dict[int, str] = {0: required[0]} if 0 in required else {}
     trans: dict[tuple[int, str], int] = {}
     assign = [0] * (length + 1)

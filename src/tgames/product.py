@@ -139,15 +139,13 @@ def _explore(
     off: list[list[int]] = []  # rows with a move into the paradise, marked -1
 
     vertices, base_edges = g.vertices, g.edges
-    cut = bool(settled)
-    if cut:
-        offer, step = _with_sentinel(g.alphabet1, offer, step)
+    everything = dict.fromkeys(g.alphabet1, SETTLED)  # what `SETTLED` offers
     i = 0
     while i < len(order) <= cap:  # stop once more than `cap` positions exist
         u, x = order[i]
         row = []
         if vertices[u].owner == 1:
-            moves = offer(x)
+            moves = everything if x == SETTLED else offer(x)
             for a in g.alphabet1:
                 y = moves.get(a)
                 if y is None:
@@ -156,7 +154,7 @@ def _explore(
                 pos = (base_edges[(u, a)], y)
                 j = positions.get(pos)
                 if j is None:
-                    if cut and pos[0] in settled:  # per new key, not per edge
+                    if pos[0] in settled:  # per new key, not per edge
                         pos = (pos[0], SETTLED)
                         j = positions.get(pos)
                     if j is None:
@@ -167,10 +165,10 @@ def _explore(
                 off.append(row)
         else:
             for b in g.alphabet2:
-                pos = (base_edges[(u, b)], step(x, b))
+                pos = (base_edges[(u, b)], x if x == SETTLED else step(x, b))
                 j = positions.get(pos)
                 if j is None:
-                    if cut and pos[0] in settled:
+                    if pos[0] in settled:
                         pos = (pos[0], SETTLED)
                         j = positions.get(pos)
                     if j is None:
@@ -188,24 +186,6 @@ def _explore(
     rows.append([top_b] * len(g.alphabet1))
     rows.append([top_a] * len(g.alphabet2))
     return rows, positions, order
-
-
-def _with_sentinel(
-    alphabet1: Sequence[str],
-    offer: Callable[[int], Mapping[str, int]],
-    step: Callable[[int, str], int],
-) -> tuple[Callable[[int], Mapping[str, int]], Callable[[int, str], int]]:
-    """`offer` and `step` extended to `SETTLED`, which offers every action
-    and steps to itself."""
-    everything = dict.fromkeys(alphabet1, SETTLED)
-
-    def settled_offer(x: int) -> Mapping[str, int]:
-        return everything if x == SETTLED else offer(x)
-
-    def settled_step(x: int, b: str) -> int:
-        return SETTLED if x == SETTLED else step(x, b)
-
-    return settled_offer, settled_step
 
 
 def _named_graph(

@@ -46,6 +46,17 @@ from .transducers import Transducer
 # y_i = 2i.
 
 
+def _check_clauses(clauses: tuple[tuple[int, ...], ...], nvars: int) -> None:
+    """At least one clause, none empty, every literal over 1..nvars."""
+    for c in clauses:
+        if not c:
+            raise GameError("empty clause")
+        if any(lit == 0 or abs(lit) > nvars for lit in c):
+            raise GameError(f"literal out of range in clause {c}")
+    if not clauses:
+        raise GameError("need at least one clause")
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     k: int
@@ -54,13 +65,7 @@ class CnfFormula:
     def __post_init__(self):
         if self.k < 1:
             raise GameError("need at least one variable")
-        for c in self.clauses:
-            if not c:
-                raise GameError("empty clause")
-            if any(lit == 0 or abs(lit) > self.k for lit in c):
-                raise GameError(f"literal out of range in clause {c}")
-        if not self.clauses:
-            raise GameError("need at least one clause")
+        _check_clauses(self.clauses, self.k)
 
 
 @dataclass(frozen=True)
@@ -73,13 +78,7 @@ class QbfFormula:
     def __post_init__(self):
         if self.k < 1:
             raise GameError("need at least one variable pair")
-        for c in self.clauses:
-            if not c:
-                raise GameError("empty clause")
-            if any(lit == 0 or abs(lit) > 2 * self.k for lit in c):
-                raise GameError(f"literal out of range in clause {c}")
-        if not self.clauses:
-            raise GameError("need at least one clause")
+        _check_clauses(self.clauses, 2 * self.k)
 
     @staticmethod
     def x(i: int, positive: bool = True) -> int:
@@ -107,18 +106,7 @@ def sat_brute_force(phi: CnfFormula) -> Optional[dict[int, bool]]:
 
 def qbf_brute_force(psi: QbfFormula) -> bool:
     """Validity by recursive quantifier expansion."""
-
-    def value(var: int, assignment: dict[int, bool]) -> bool:
-        if var > 2 * psi.k:
-            return all(_clause_true(c, assignment) for c in psi.clauses)
-        results = []
-        for b in (False, True):
-            assignment[var] = b
-            results.append(value(var + 1, assignment))
-            del assignment[var]
-        return (results[0] and results[1]) if var % 2 == 1 else (results[0] or results[1])
-
-    return value(1, {})
+    return _holds(psi, 1, {})
 
 
 # ---------------------------------------------------------------------------
@@ -132,61 +120,55 @@ def _ints(tokens: list[str], lineno: int, what: str) -> list[int]:
         raise GameError(f"line {lineno}: bad {what}") from None
 
 
-def parse_dimacs_cnf(text: str) -> CnfFormula:
-    nvars = nclauses = None
+def _read_dimacs(
+    text: str, comments: str, quantifier: Optional[Callable[[list[str], int], None]] = None
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Variable count and clauses of a DIMACS text, checked against its
+    problem line.  Lines starting with a character of `comments` are
+    skipped; with a `quantifier`, each line starting with 'a' or 'e' goes
+    to it as (tokens, line number)."""
+    problem = None
     clauses: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if not line or line[0] in comments:
             continue
-        if line.startswith("p"):
-            tok = line.split()
+        tok = line.split()
+        if line[0] == "p":
             if len(tok) != 4 or tok[1] != "cnf":
                 raise GameError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")
-            nvars, nclauses = _ints(tok[2:], lineno, "problem line")
-            continue
-        lits = _ints(line.split(), lineno, "literal")
-        if not lits or lits[-1] != 0:
-            raise GameError(f"line {lineno}: clause must end with 0")
-        clauses.append(tuple(lits[:-1]))
-    if nvars is None:
+            problem = (lineno, *_ints(tok[2:], lineno, "problem line"))
+        elif quantifier is not None and line[0] in "ae":
+            quantifier(tok, lineno)
+        else:
+            lits = _ints(tok, lineno, "literal")
+            if not lits or lits[-1] != 0:
+                raise GameError(f"line {lineno}: clause must end with 0")
+            clauses.append(tuple(lits[:-1]))
+    if problem is None:
         raise GameError("missing problem line")
-    if nclauses is not None and len(clauses) != nclauses:
-        raise GameError(f"expected {nclauses} clauses, found {len(clauses)}")
-    return CnfFormula(nvars, tuple(clauses))
+    lineno, nvars, nclauses = problem
+    if len(clauses) != nclauses:
+        raise GameError(f"line {lineno}: bad clause count, {len(clauses)} clauses follow")
+    return nvars, tuple(clauses)
+
+
+def parse_dimacs_cnf(text: str) -> CnfFormula:
+    return CnfFormula(*_read_dimacs(text, "c%"))
 
 
 def parse_qdimacs(text: str) -> QbfFormula:
     """QDIMACS with a strictly alternating singleton prefix: a 1 / e 2 / a 3
     / ...  Variables must appear in that order; anything else is rejected
     rather than repaired."""
-    nvars = None
     prefix: list[tuple[str, int]] = []
-    clauses: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            tok = line.split()
-            if len(tok) != 4 or tok[1] != "cnf":
-                raise GameError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")
-            nvars = _ints(tok[2:3], lineno, "problem line")[0]
-            continue
-        if line[0] in "ae":
-            tok = line.split()
-            if len(tok) != 3 or tok[-1] != "0":
-                raise GameError(
-                    f"line {lineno}: quantifier blocks must bind one variable"
-                )
-            prefix.append((tok[0], _ints(tok[1:2], lineno, "quantifier variable")[0]))
-            continue
-        lits = _ints(line.split(), lineno, "literal")
-        if not lits or lits[-1] != 0:
-            raise GameError(f"line {lineno}: clause must end with 0")
-        clauses.append(tuple(lits[:-1]))
-    if nvars is None:
-        raise GameError("missing problem line")
+
+    def quantifier(tok: list[str], lineno: int) -> None:
+        if len(tok) != 3 or tok[-1] != "0":
+            raise GameError(f"line {lineno}: quantifier blocks must bind one variable")
+        prefix.append((tok[0], _ints(tok[1:2], lineno, "quantifier variable")[0]))
+
+    nvars, clauses = _read_dimacs(text, "c", quantifier)
     if nvars % 2 != 0 or len(prefix) != nvars:
         raise GameError("prefix must bind an even number of variables, one each")
     for i, (q, v) in enumerate(prefix, start=1):
@@ -195,7 +177,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
             raise GameError(
                 "prefix must alternate 'a 1', 'e 2', 'a 3', ... in order"
             )
-    return QbfFormula(nvars // 2, tuple(clauses))
+    return QbfFormula(nvars // 2, clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +515,6 @@ def optimal_y_chooser(psi: QbfFormula) -> Callable:
     return choose
 
 
-def falsifying_x(psi: QbfFormula, assignment: dict[int, bool], i: int) -> bool:
-    """A value for x_i that keeps the formula falsifiable given the
-    assignment to variables 1..2(i-1); exists whenever the formula is
-    invalid and play so far followed falsifying choices."""
-    return _first_value(psi, QbfFormula.x(i), assignment, False)
-
-
 def counter_transducer(
     psi: QbfFormula, strategy_chooser: Optional[Callable] = None
 ) -> tuple[Transducer, dict[int, bool]]:
@@ -587,8 +562,10 @@ def counter_transducer(
     chooser = strategy_chooser or optimal_y_chooser(psi)
     assignment: dict[int, bool] = {}
     for i in range(1, k + 1):
-        xv = falsifying_x(psi, assignment, i)
-        assignment[QbfFormula.x(i)] = xv
+        # a value of x_i that keeps the formula falsifiable, which exists
+        # while the formula is invalid and play followed such values
+        x = QbfFormula.x(i)
+        assignment[x] = _first_value(psi, x, assignment, False)
         assignment[QbfFormula.y(i)] = chooser(i, dict(assignment))
     xvals = {i: assignment[QbfFormula.x(i)] for i in range(1, k + 1)}
     yvals = {i: assignment[QbfFormula.y(i)] for i in range(1, k + 1)}

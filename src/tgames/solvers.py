@@ -75,13 +75,21 @@ class Arena:
 
 
 def compile_arena(g: GameGraph) -> Arena:
-    """The integer form of the total arena `g`, same vertex ids."""
-    if not g.is_total():
-        raise GameError("solve_parity requires a total arena")
+    """The integer form of `g`, same vertex ids.  Each row keeps the edges
+    `g` has, in alphabet order; a vertex with all of them shares the
+    alphabet tuple as its actions."""
     owner = [v.owner for v in g.vertices]
     color = [v.color for v in g.vertices]
-    acts = [g.alphabet1 if o == 1 else g.alphabet2 for o in owner]
-    succ = [[g.edges[(v, a)] for a in row] for v, row in enumerate(acts)]
+    edges = g.edges
+    succ, acts = [], []
+    for v, o in enumerate(owner):
+        alphabet = g.alphabet1 if o == 1 else g.alphabet2
+        row = [edges.get((v, a)) for a in alphabet]
+        if None in row:
+            alphabet = tuple(a for a, t in zip(alphabet, row) if t is not None)
+            row = [t for t in row if t is not None]
+        acts.append(alphabet)
+        succ.append(row)
     return Arena(g.objective, g.alphabet1, g.alphabet2, owner, color, succ, acts)
 
 
@@ -168,7 +176,11 @@ def solve_parity(g: Union[GameGraph, Arena]) -> ParitySolution:
 
     A `GameGraph` is compiled to an `Arena` once; an `Arena` is taken as it
     is, so its maker vouches that it is total."""
-    arena = compile_arena(g) if isinstance(g, GameGraph) else g
+    arena = g
+    if isinstance(g, GameGraph):
+        if not g.is_total():
+            raise GameError("solve_parity requires a total arena")
+        arena = compile_arena(g)
     owner, n = arena.owner, arena.n
     everything = set(range(n))
     if arena.objective == REACHABILITY:
@@ -323,23 +335,6 @@ class LazyMap(Mapping):
         return len(self._keys)
 
 
-def _one_player_rows(g: GameGraph) -> Arena:
-    """Rows of `g` after checking that every owner-1 vertex has exactly
-    one outgoing edge."""
-    succ, acts = [], []
-    for v in g.vertices:
-        pairs = list(g.successors(v.id))
-        if v.owner == 1 and len(pairs) != 1:
-            raise GameError(
-                f"owner-1 vertex {v.name!r} has out-degree {len(pairs)}, expected 1"
-            )
-        acts.append(tuple(a for a, _t in pairs))
-        succ.append([t for _a, t in pairs])
-    owner = [v.owner for v in g.vertices]
-    color = [v.color for v in g.vertices]
-    return Arena(g.objective, g.alphabet1, g.alphabet2, owner, color, succ, acts)
-
-
 def solve_one_player(
     g: Union[GameGraph, Arena],
 ) -> tuple[frozenset[int], Mapping[int, Lasso]]:
@@ -354,7 +349,15 @@ def solve_one_player(
     read-only mapping keyed by the winning vertices in id order; each lasso
     is built on first access.
     """
-    arena = _one_player_rows(g) if isinstance(g, GameGraph) else g
+    arena = g
+    if isinstance(g, GameGraph):
+        arena = compile_arena(g)
+        for v, row in enumerate(arena.succ):
+            if arena.owner[v] == 1 and len(row) != 1:
+                name, degree = g.vertices[v].name, len(row)
+                raise GameError(
+                    f"owner-1 vertex {name!r} has out-degree {degree}, expected 1"
+                )
     succ, color = arena.succ, arena.color
     good: dict[int, Optional[set[int]]] = {}  # anchor -> allowed set for its cycle
     if arena.objective == REACHABILITY:

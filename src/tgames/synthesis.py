@@ -8,9 +8,10 @@ Two routes:
   Player 1's available moves at a knowledge position are exactly the labels
   some consistent pair would emit; a move both reveals information (the
   belief shrinks to the consistent subset) and advances the game.  A belief
-  is one int bitmask, k slices of one bit per machine, so the arena comes
-  from the same explorer as a machine's product (`product._explore`), with
-  the bitmask as the observer state; other labels concede to its paradise.
+  is one int of a `transducers.MachineSet`, which owns the bit layout and
+  the label and step operations, so the arena comes from the same
+  explorer as a machine's product (`product._explore`), with the int as
+  the observer state; other labels concede to its paradise.
   One parity solve of the base game comes first: a k-state machine is one
   player-1 strategy there, so player 2 wins from every belief at a vertex
   of its base winning region W2.  A move into W2 therefore settles the
@@ -60,11 +61,11 @@ from .product import (
     winning_lasso,
 )
 from .transducers import (
+    MachineSet,
     Transducer,
     count,
     enumerate_transducers,  # noqa: F401  -- unused here; bench/tracing.py wraps it
     from_ordinal,
-    machine_masks,
 )
 
 DEFAULT_BELIEF_CAP = 1_000_000
@@ -82,13 +83,19 @@ class BeliefArena:
     position, one that play reached through a vertex of player 2's base
     winning region, carries no belief: `belief_of` gives (vertex id, None)
     there, and its belief number is that of the `SETTLED` state.  Both are
-    built on first read.
+    built on first read; the beliefs are decoded by the solve's
+    `MachineSet.pairs`, which knows their layout.
     """
 
     def __init__(
-        self, base: GameGraph, rows: list[list[int]], order: list[tuple[int, int]], k: int
+        self,
+        base: GameGraph,
+        rows: list[list[int]],
+        order: list[tuple[int, int]],
+        machines: MachineSet,
     ):
-        self._base, self._rows, self._order, self._k = base, rows, order, k
+        self._base, self._rows, self._order = base, rows, order
+        self._machines = machines
 
     @cached_property
     def graph(self) -> GameGraph:
@@ -98,22 +105,11 @@ class BeliefArena:
 
     @cached_property
     def belief_of(self) -> dict[int, tuple[int, Optional[Belief]]]:
-        g = self._base
-        width = count(self._k, g.alphabet1, g.alphabet2)
         decoded: dict[int, Optional[Belief]] = {SETTLED: None}
-
-        def pairs(belief: int) -> Optional[Belief]:
-            if belief not in decoded:
-                out = []
-                rest = belief
-                while rest:
-                    j = (rest & -rest).bit_length() - 1  # lowest set bit
-                    out.append((j % width, j // width))
-                    rest &= rest - 1
-                decoded[belief] = frozenset(out)
-            return decoded[belief]
-
-        return {i: (u, pairs(x)) for i, (u, x) in enumerate(self._order)}
+        for _u, x in self._order:
+            if x not in decoded:
+                decoded[x] = self._machines.pairs(x)
+        return {i: (u, decoded[x]) for i, (u, x) in enumerate(self._order)}
 
 
 @dataclass
@@ -140,7 +136,9 @@ def solve_bounded(
     and hands its integer form to the parity solver.  Beliefs only ever
     shrink along a play and the machine pool is finite, so an infinite play
     consistent at every prefix is consistent with one fixed machine: the
-    arena decides exactly the bounded-environment question.
+    arena decides exactly the bounded-environment question.  Each belief is
+    an int of one `MachineSet` over all machines, which gives the layout
+    and the arena's `offer` and `step`.
 
     Player 2 wins from every belief at a vertex of its base winning region,
     so the explorer settles play there (`product.SETTLED`): one base solve
@@ -155,37 +153,9 @@ def solve_bounded(
         return BoundedSolveResult(None, reason="machine count above cap")
     base = solve_parity(g)
 
-    # A belief is an int of k slices of N bits, N the number of machines:
-    # bit j of slice s is set when machine j may be in state s.  Beliefs are
-    # the observer states of the explorer.  label_mask[a] holds the pairs
-    # emitting a; moves[b][s * k + s2] the machines that go from s to s2 on
-    # b, in slice s.  Every machine starts in state 0.
-    labels, steps = machine_masks(k, g.alphabet1, g.alphabet2, 0, total)
-    label_mask = {
-        a: sum(labels[s][i] << (s * total) for s in range(k))
-        for i, a in enumerate(g.alphabet1)
-    }
-    moves = {
-        b: [steps[s][i][s2] << (s * total) for s in range(k) for s2 in range(k)]
-        for i, b in enumerate(g.alphabet2)
-    }
-    shifts = {
-        b: [(m, (i // k) * total, (i % k) * total) for i, m in enumerate(row) if m]
-        for b, row in moves.items()
-    }
-
-    def offer(x: int) -> dict[str, int]:
-        # a label reveals information: the belief shrinks to the pairs emitting it
-        return {a: y for a, m in label_mask.items() if (y := x & m)}
-
-    def step(x: int, b: str) -> int:
-        y = 0
-        for m, low, high in shifts[b]:
-            y |= (x & m) >> low << high
-        return y
-
+    machines = MachineSet(k, g.alphabet1, g.alphabet2, 0, total)
     rows, _positions, order = _explore(
-        g, (1 << total) - 1, offer, step, belief_cap, base.region2
+        g, machines.start, machines.offer, machines.step, belief_cap, base.region2
     )
     settled = sum(x == SETTLED for _u, x in order)
     if rows is None:
@@ -204,7 +174,7 @@ def solve_bounded(
         positions=len(order),
         settled=settled,
         strategy=strategy,
-        arena=BeliefArena(g, rows, order, k),
+        arena=BeliefArena(g, rows, order, machines),
         solution=solution,
     )
 
@@ -300,9 +270,10 @@ class AdaptiveController:
             self.products_built += 1
         return self._held[1]
 
-    def _window_masks(self, start: int) -> list[int]:
-        """Per game vertex v, the machines of the window at `start` with
-        some (v, m) reachable and winning in their product."""
+    def _marked(self, start: int) -> int:
+        """The machines of the scan window at `start` with some (current
+        vertex, m) reachable and winning in their product.  One kernel pass
+        gives the masks of every vertex; the last window's are kept."""
         if self._window is None or self._window[0] != start:
             self._window = None  # let the old masks go before the pass
             if self._kernel is None:
@@ -318,20 +289,7 @@ class AdaptiveController:
                 masks.append(hit)
             self._window = (start, masks)
             self.scan_windows += 1
-        return self._window[1]
-
-    def _next_marked(self, i: int, stop: int) -> Optional[int]:
-        """The first ordinal in [i, stop) whose bit is set at the current
-        vertex, or None."""
-        size = liveness.SCAN_WINDOW
-        while i < stop:
-            start = i - i % size
-            marked = self._window_masks(start)[self.vertex] >> (i - start)
-            if marked:
-                i += (marked & -marked).bit_length() - 1
-                return i if i < stop else None
-            i = start + size
-        return None
+        return self._window[1][self.vertex]
 
     # -- hypothesis management ----------------------------------------------
 
@@ -339,12 +297,13 @@ class AdaptiveController:
         """Find the next machine with some (current vertex, m) reachable
         and winning; initialize its candidate set.  False, with the ordinal
         back where the scan began, when a full wrap found none."""
-        begin = self.ordinal
+        begin, size = self.ordinal, liveness.SCAN_WINDOW
         while not self._adopt():
             i = self.ordinal
-            found = self._next_marked(i + 1, self.hypotheses if i >= begin else begin)
+            stop = self.hypotheses if i >= begin else begin
+            found = liveness.first_marked(self._marked, i + 1, stop, size)
             if found is None and i >= begin:
-                found = self._next_marked(0, begin)
+                found = liveness.first_marked(self._marked, 0, begin, size)
             if found is None:
                 self.ordinal = begin
                 return False

@@ -226,6 +226,72 @@ def machine_masks(
     return labels, steps
 
 
+class MachineSet:
+    """Sets of (machine, state) pairs of the ordinal window [lo, hi), each
+    one int in which bit s * width + j, width = hi - lo, stands for machine
+    lo + j in state s.  No other code knows this layout.
+
+    `start` holds every machine in its initial state 0, `offer(x)` maps
+    each output to the pairs of x that emit it, and `step(x, b)` moves the
+    pairs along input b, so `replay` leaves the machines that agree with a
+    word, each in the state the word leaves it in.
+    """
+
+    def __init__(
+        self, k: int, outputs: Sequence[str], inputs: Sequence[str], lo: int, hi: int
+    ):
+        labels, steps = machine_masks(k, outputs, inputs, lo, hi)
+        self.lo, self.width, self.k = lo, hi - lo, k
+        self.start = (1 << self.width) - 1
+        slot = [s * self.width for s in range(k)]
+        self._labels = {
+            a: sum(labels[s][i] << slot[s] for s in range(k)) for i, a in enumerate(outputs)
+        }
+        # per input: (pairs of slice s that go to s2, offset of s, offset of s2)
+        self._shifts = {
+            b: [
+                (steps[s][i][s2] << slot[s], slot[s], slot[s2])
+                for s in range(k)
+                for s2 in range(k)
+                if steps[s][i][s2]
+            ]
+            for i, b in enumerate(inputs)
+        }
+
+    def offer(self, x: int) -> dict[str, int]:
+        return {a: y for a, m in self._labels.items() if (y := x & m)}
+
+    def step(self, x: int, b: str) -> int:
+        y = 0
+        for m, low, high in self._shifts[b]:
+            y |= (x & m) >> low << high
+        return y
+
+    def replay(self, actions: Sequence[str]) -> int:
+        """The pairs of `start` left by an alternating word, player-1
+        outputs at even indices."""
+        x = self.start
+        for i, sym in enumerate(actions):
+            x = x & self._labels[sym] if i % 2 == 0 else self.step(x, sym)
+        return x
+
+    def machines(self, x: int) -> int:
+        """Bit j set when machine lo + j has a pair in x."""
+        out = 0
+        for s in range(self.k):
+            out |= x >> (s * self.width)
+        return out & self.start
+
+    def pairs(self, x: int) -> frozenset[tuple[int, int]]:
+        """The (ordinal, state) pairs of x."""
+        out = []
+        while x:
+            j = (x & -x).bit_length() - 1  # lowest set bit
+            out.append((self.lo + j % self.width, j // self.width))
+            x &= x - 1
+        return frozenset(out)
+
+
 def enumerate_transducers(
     k: int,
     outputs: Sequence[str],

@@ -262,6 +262,9 @@ class TestGen:
             ("qbf", "p cnf two 1\na 1 0\ne 2 0\n1 2 0\n", 1),  # problem line
             ("qbf", "p cnf 2 1\na x1 0\ne 2 0\n1 2 0\n", 2),  # quantifier variable
             ("qbf", "p cnf 2 1\na 1 0\ne 2 0\n1 y 0\n", 4),  # clause literal
+            ("qbf", "p cnf 2 one\na 1 0\ne 2 0\n1 2 0\n", 1),  # clause count
+            ("qbf", "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n", 1),  # count mismatch
+            ("cnf", "p cnf 2 1\n1 0\n-2 0\n", 1),  # count mismatch
         ],
     )
     def test_malformed_dimacs_is_an_input_error(self, tmp_path, capsys, family, text, line):

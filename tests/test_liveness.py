@@ -255,6 +255,28 @@ class TestWordMembership:
             assert found is not None
             assert agrees(Word(tuple(actions)), found)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_first_agreeing_machine_of_the_enumeration(self, k):
+        outputs, inputs = ("a", "b", "c"), XY
+        machines = list(enumerate_transducers(k, outputs, inputs))
+        rng = random.Random(k)
+        kinds = {"finite": 0, "lasso": 0, "none": 0}
+        for _ in range(150):
+            prefix = []
+            for _ in range(rng.randrange(0, 4)):
+                prefix += [rng.choice(outputs), rng.choice(inputs)]
+            if rng.random() < 0.5:
+                w = Word(tuple(prefix) + (rng.choice(outputs),))
+            else:
+                cycle = []
+                for _ in range(rng.randrange(1, 3)):
+                    cycle += [rng.choice(outputs), rng.choice(inputs)]
+                w = Word(tuple(prefix), tuple(cycle))
+            expected = next((t for t in machines if agrees(w, t)), None)
+            assert word_in_Ak(w, k, outputs, inputs) == expected
+            kinds["none" if expected is None else "finite" if w.finite else "lasso"] += 1
+        assert min(kinds.values()) > 0, kinds
+
     def test_alphabet_validation(self):
         with pytest.raises(GameError):
             word_in_Ak(Word(("zzz",)), 1, AB, XY)

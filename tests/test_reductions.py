@@ -417,6 +417,20 @@ class TestDimacs:
         with pytest.raises(GameError):
             parse_qdimacs(text)
 
+    @pytest.mark.parametrize(
+        "parse, body",
+        [(parse_dimacs_cnf, "1 2 0\n"), (parse_qdimacs, "a 1 0\ne 2 0\n1 2 0\n")],
+    )
+    @pytest.mark.parametrize(
+        "problem, message",
+        [("p cnf 2 one", "line 1: bad problem line"), ("p cnf 2 2", "line 1: bad clause count")],
+    )
+    def test_clause_count_is_checked(self, parse, body, problem, message):
+        # both parsers read the problem line and the clauses with one code path
+        with pytest.raises(GameError, match=f"^{message}"):
+            parse(f"{problem}\n{body}")
+        assert parse(f"p cnf 2 1\n{body}").clauses == ((1, 2),)
+
     def test_qdimacs_rejects_block_quantifiers(self):
         text = "p cnf 4 1\na 1 3 0\ne 2 4 0\n1 0\n"
         with pytest.raises(GameError):

@@ -21,7 +21,7 @@ from tgames import (
     run,
     serialize_transducer,
 )
-from tgames.transducers import machine_masks
+from tgames.transducers import MachineSet, machine_masks
 
 AB = ("a", "b")
 XY = ("x", "y")
@@ -200,6 +200,38 @@ class TestMachineMasks:
             machine_masks(1, AB, XY, 0, count(1, AB, XY) + 1)
         with pytest.raises(GameError):
             machine_masks(1, AB, XY, 1, 1)
+
+
+class TestMachineSet:
+    @pytest.mark.parametrize("lo, hi", [(5, 37), (13, 64), (1, 2), (31, 33)])
+    def test_pairs_after_replay_are_the_agreeing_machines(self, lo, hi):
+        # windows that start neither at 0 nor at a multiple of their width
+        machines = MachineSet(2, AB, XY, lo, hi)
+        rng = random.Random(lo * 100 + hi)
+        for _ in range(40):
+            actions = []
+            for _ in range(rng.randrange(0, 5)):
+                actions += [rng.choice(AB), rng.choice(XY)]
+            actions.append(rng.choice(AB))
+            expected = set()
+            for o in range(lo, hi):
+                t = from_ordinal(o, 2, AB, XY)
+                if agrees(Word(tuple(actions)), t):
+                    expected.add((o, run(t, actions[1::2])[0]))
+            belief = machines.replay(actions)
+            assert machines.pairs(belief) == expected
+            assert machines.machines(belief) == sum(1 << (o - lo) for o, _ in expected)
+
+    def test_offer_and_step_follow_each_machine(self):
+        machines = MachineSet(2, AB, XY, 3, 50)
+        x = machines.start
+        assert machines.pairs(x) == {(o, 0) for o in range(3, 50)}
+        for a, pairs in machines.offer(x).items():
+            assert machines.pairs(pairs) == {
+                (o, 0) for o in range(3, 50) if from_ordinal(o, 2, AB, XY).labels[0] == a
+            }
+        moved = machines.pairs(machines.step(x, "y"))
+        assert moved == {(o, from_ordinal(o, 2, AB, XY).step(0, "y")) for o in range(3, 50)}
 
 
 class TestDedupe:

@@ -20,7 +20,7 @@ import time
 from . import __version__
 from .gameio import parse_game, serialize_game
 from .graphs import GameError, validate as validate_graph, complete as complete_graph
-from .liveness import check_k_live
+from .liveness import DEFAULT_CAP, check_k_live
 from .product import build_product, p2_winning_positions
 from .reductions import (
     cnf_to_game,
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cap",
         type=int,
-        default=10_000_000,
+        default=DEFAULT_CAP,
         help="resource cap: machines in a sweep or an enumerate window; "
         "solve --method belief applies it to the machine count and to the "
         "belief positions",

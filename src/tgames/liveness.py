@@ -181,6 +181,15 @@ class _Kernel:
         _close(reach, fwd)
         return reach, self._win(fwd, bwd, full)
 
+    def winnable(self, lo: int, hi: int) -> list[int]:
+        """Per base vertex v, the machines of [lo, hi) whose product reaches
+        some (v, s) that player 2 wins from, as bit masks over the window."""
+        k = self.k
+        masks = [0] * len(self.g.vertices)
+        for x, (r, w) in enumerate(zip(*self.sets(lo, hi))):
+            masks[x // k] |= r & w
+        return masks
+
     def failing(self, lo: int, hi: int) -> int:
         """The machines of [lo, hi) whose product reaches a position player
         2 loses from, as a bit mask over the window."""

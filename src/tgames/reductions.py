@@ -32,9 +32,9 @@ from .graphs import (
     complete,
     make_game,
 )
-from .liveness import LivenessVerdict, check_k_live
+from .liveness import DEFAULT_CAP, LivenessVerdict, check_k_live
 from .product import build_product, p2_winning_positions, reachable_positions
-from .synthesis import simulate, solve_bounded
+from .synthesis import DEFAULT_BELIEF_CAP, simulate, solve_bounded
 from .transducers import Transducer
 
 # ---------------------------------------------------------------------------
@@ -121,18 +121,24 @@ def _ints(tokens: list[str], lineno: int, what: str) -> list[int]:
 
 
 def _read_dimacs(
-    text: str, comments: str, quantifier: Optional[Callable[[list[str], int], None]] = None
+    text: str,
+    comments: str,
+    quantifier: Optional[Callable[[list[str], int], None]] = None,
+    end: str = "",
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Variable count and clauses of a DIMACS text, checked against its
     problem line.  Lines starting with a character of `comments` are
-    skipped; with a `quantifier`, each line starting with 'a' or 'e' goes
-    to it as (tokens, line number)."""
+    skipped, and a line starting with a character of `end` ends the text;
+    with a `quantifier`, each line starting with 'a' or 'e' goes to it as
+    (tokens, line number)."""
     problem = None
     clauses: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] in comments:
             continue
+        if line[0] in end:
+            break
         tok = line.split()
         if line[0] == "p":
             if len(tok) != 4 or tok[1] != "cnf":
@@ -154,7 +160,8 @@ def _read_dimacs(
 
 
 def parse_dimacs_cnf(text: str) -> CnfFormula:
-    return CnfFormula(*_read_dimacs(text, "c%"))
+    """DIMACS CNF; SATLIB's closing '%' line and what follows it are ignored."""
+    return CnfFormula(*_read_dimacs(text, "c", end="%"))
 
 
 def parse_qdimacs(text: str) -> QbfFormula:
@@ -411,7 +418,7 @@ class CnfCrossCheck:
 def cnf_liveness_cross_check(
     phi: CnfFormula,
     k: Optional[int] = None,
-    cap: int = 10_000_000,
+    cap: int = DEFAULT_CAP,
 ) -> CnfCrossCheck:
     """Cross-check the CNF game against the satisfiability oracle:
     the game must be k-live exactly when the formula is unsatisfiable.
@@ -584,8 +591,8 @@ class QbfCrossCheck:
 
 def qbf_value_cross_check(
     psi: QbfFormula,
-    machine_cap: int = 10_000_000,
-    belief_cap: int = 1_000_000,
+    machine_cap: int = DEFAULT_CAP,
+    belief_cap: int = DEFAULT_BELIEF_CAP,
 ) -> QbfCrossCheck:
     """Cross-check the alternating-formula game against the validity oracle:
     player 2 must win against every (k+1)-state machine exactly when the

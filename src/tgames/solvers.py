@@ -1,13 +1,13 @@
 """Winning-region computation.
 
-`solve_parity` runs the classical recursive (Zielonka) algorithm and returns
-positional strategies together with the two regions.  Büchi games are parity
-games over colors {1, 2}; a reachability game is won by player 2 exactly on
-its attractor to the color-2 vertices.  It runs on `Arena`, an integer form
-of an arena: owner and color lists, successor rows in alphabet order and
-predecessor rows in vertex order.  A `GameGraph` is compiled to that form
-once per call (`compile_arena`); the knowledge arena is built in it
-directly.
+`solve_parity` runs Zielonka's algorithm, its frames on an explicit stack,
+and returns positional strategies together with the two regions.  Büchi
+games are parity games over colors {1, 2}; a reachability game is won by
+player 2 exactly on its attractor to the color-2 vertices.  It runs on
+`Arena`, an integer form of an arena: owner and color lists, successor rows
+in alphabet order and predecessor rows in vertex order.  A `GameGraph` is
+compiled to that form once per call (`compile_arena`); the knowledge arena
+is built in it directly.
 
 `solve_one_player` handles arenas in which player 1 has exactly one outgoing
 edge per vertex (a deterministic environment) in polynomial time.  It runs
@@ -20,7 +20,6 @@ built only when it is first read.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -136,39 +135,40 @@ def _first_action_within(arena: Arena, vid: int, region: set[int]) -> str:
 
 
 def _zielonka(arena: Arena, region: set[int]):
-    if not region:
-        return set(), set(), {}, {}
-    color = arena.color
-    d = max(color[vid] for vid in region)
-    player = 2 if d % 2 == 0 else 1
-    opponent = 3 - player
-    targets = {vid for vid in region if color[vid] == d}
-    attr, pull = _attractor(arena, region, targets, player)
-    w1, w2, s1, s2 = _zielonka(arena, region - attr)
-    win_sub = w2 if player == 2 else w1
-    lose_sub = w1 if player == 2 else w2
-    strat_sub = (s2 if player == 2 else s1)
-    if not lose_sub:
-        strat = dict(strat_sub)
+    """Zielonka's algorithm on `region`, as a generator: it yields each
+    subgame it needs solved, is sent that subgame's (w1, w2, s1, s2), and
+    returns its own.  Each pass solves the game below the player's
+    attractor to the top color; where the opponent wins part of it, the
+    opponent's attractor to that part is peeled off and the next pass runs
+    on the rest.  So frames nest at most once per color."""
+    color, owner = arena.color, arena.owner
+    regions, strats = {1: set(), 2: set()}, {1: {}, 2: {}}
+    peeled = []  # (opponent, its attractor, pull, subgame strategy), in order
+    while region:
+        d = max(color[vid] for vid in region)
+        player = 2 if d % 2 == 0 else 1
+        opponent = 3 - player
+        targets = {vid for vid in region if color[vid] == d}
+        attr, pull = _attractor(arena, region, targets, player)
+        w1, w2, s1, s2 = yield region - attr
+        lose_sub = w1 if player == 2 else w2
+        if lose_sub:
+            attr_b, pull_b = _attractor(arena, region, lose_sub, opponent)
+            peeled.append((opponent, attr_b, pull_b, s1 if player == 2 else s2))
+            region = region - attr_b
+            continue
+        strat = dict(s2 if player == 2 else s1)
         strat.update(pull)
         for vid in targets:
-            if arena.owner[vid] == player and vid not in strat:
+            if owner[vid] == player and vid not in strat:
                 strat[vid] = _first_action_within(arena, vid, region)
-        if player == 2:
-            return set(), set(region), {}, strat
-        return set(region), set(), strat, {}
-    opp_strat_sub = s1 if player == 2 else s2
-    attr_b, pull_b = _attractor(arena, region, lose_sub, opponent)
-    w1b, w2b, s1b, s2b = _zielonka(arena, region - attr_b)
-    opp_strat = dict(s1b if player == 2 else s2b)
-    opp_strat.update(pull_b)
-    opp_strat.update(opp_strat_sub)
-    opp_region = (w1b if player == 2 else w2b) | attr_b
-    my_region = w2b if player == 2 else w1b
-    my_strat = s2b if player == 2 else s1b
-    if player == 2:
-        return opp_region, my_region, opp_strat, my_strat
-    return my_region, opp_region, my_strat, opp_strat
+        regions[player], strats[player] = set(region), strat
+        break
+    for q, attr_b, pull_b, sub in reversed(peeled):  # innermost pass first
+        regions[q] = regions[q] | attr_b
+        strats[q].update(pull_b)
+        strats[q].update(sub)
+    return regions[1], regions[2], strats[1], strats[2]
 
 
 def solve_parity(g: Union[GameGraph, Arena]) -> ParitySolution:
@@ -197,15 +197,16 @@ def solve_parity(g: Union[GameGraph, Arena]) -> ParitySolution:
             if owner[vid] == 1
         }
         return ParitySolution(frozenset(w1), frozenset(w2), s1, s2)
-    limit = sys.getrecursionlimit()
-    need = 4 * n + 100
-    if need > limit:
-        sys.setrecursionlimit(need)
-    try:
-        w1, w2, s1, s2 = _zielonka(arena, everything)
-    finally:
-        if need > limit:
-            sys.setrecursionlimit(limit)
+    # the frames wait on their subgames on an explicit stack
+    stack, solved = [_zielonka(arena, everything)], None
+    while stack:
+        try:
+            stack.append(_zielonka(arena, stack[-1].send(solved)))
+            solved = None
+        except StopIteration as done:
+            stack.pop()
+            solved = done.value
+    w1, w2, s1, s2 = solved
     return ParitySolution(frozenset(w1), frozenset(w2), s1, s2)
 
 

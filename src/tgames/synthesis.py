@@ -69,7 +69,6 @@ from .transducers import (
 )
 
 DEFAULT_BELIEF_CAP = 1_000_000
-DEFAULT_MACHINE_CAP = 10_000_000
 
 Belief = frozenset[tuple[int, int]]  # (machine ordinal, machine state)
 
@@ -127,7 +126,7 @@ def solve_bounded(
     g: GameGraph,
     k: int,
     belief_cap: int = DEFAULT_BELIEF_CAP,
-    machine_cap: int = DEFAULT_MACHINE_CAP,
+    machine_cap: int = liveness.DEFAULT_CAP,
 ) -> BoundedSolveResult:
     """Can player 2 win against every k-state machine?
 
@@ -212,19 +211,21 @@ class AdaptiveController:
     by enumeration).  For the current hypothesis it keeps `candidates`:
     machine states m such that (current vertex, m) is reachable in the
     hypothesis' product and no observation since has contradicted m.  It
-    conjectures the smallest candidate, follows a winning lasso computed
-    from that product position, advances candidate states on its own moves,
-    and drops candidates whose predicted output a player-1 observation
-    refutes.  An empty candidate set moves to the next machine; after the
-    last machine the scan wraps around.
+    conjectures the least candidate with a winning lasso from that product
+    position and follows the lasso, so at each of its turns the lasso entry
+    under the cursor is (vertex, conjecture).  Observations refute
+    candidates; a refuted conjecture passes to the next candidate, and with
+    none left the hypothesis dies and the scan resumes at the next machine,
+    wrapping around after the last.  With no hypothesis held (the
+    environment is outside the machine class) it plays its first action.
 
     Hypotheses are skipped without building their products: a machine is
     worth a product only when some (current vertex, m) is reachable and
-    winning in it, and `liveness._Kernel` computes that for a whole aligned
-    window of `liveness.SCAN_WINDOW` (2^12) ordinals at once, one bit per
-    machine.  The scan checks the cursor's product first, which a
-    qualifying hypothesis needs for its lasso anyway, and past a miss jumps
-    to the next hypothesis whose bit is set, so it stops where a
+    winning in it, and `liveness._Kernel.winnable` computes that for a
+    whole aligned window of `liveness.SCAN_WINDOW` (2^12) ordinals at once,
+    one bit per machine.  The scan checks the cursor's product first, which
+    a qualifying hypothesis needs for its lasso anyway, and past a miss
+    adopts the next hypothesis whose bit is set, so it stops where a
     product-by-product scan would.
 
     Storage stays polynomial in the arena, with one window of bits: one
@@ -245,11 +246,10 @@ class AdaptiveController:
         self.hypotheses = count(k, g.alphabet1, g.alphabet2)
         self.vertex = g.initial
         self.ordinal = 0
-        self.candidates: list[int] = []
+        self.candidates: list[int] = []  # empty: no hypothesis held
         self.conjecture: Optional[int] = None
         self.lasso: Optional[Lasso] = None
         self.cursor = 0
-        self.tracking = False
         self.steps = 0
         self.log: list[HypothesisRecord] = []
         self.products_built = 0
@@ -257,8 +257,6 @@ class AdaptiveController:
         self._held: Optional[tuple[int, ProductGame]] = None
         self._kernel: Optional[liveness._Kernel] = None  # built on the first miss
         self._window: Optional[tuple[int, list[int]]] = None  # start, mask per vertex
-
-    # -- product plumbing ---------------------------------------------------
 
     def _product(self) -> ProductGame:
         """The current hypothesis' product, built when the ordinal moved."""
@@ -279,49 +277,31 @@ class AdaptiveController:
             if self._kernel is None:
                 self._kernel = liveness._Kernel(self.game, self.k)
             stop = min(start + liveness.SCAN_WINDOW, self.hypotheses)
-            reach, win = self._kernel.sets(start, stop)
-            k = self.k
-            masks = []
-            for v in range(len(self.game.vertices)):
-                hit = 0
-                for x in range(v * k, v * k + k):
-                    hit |= reach[x] & win[x]
-                masks.append(hit)
-            self._window = (start, masks)
+            self._window = (start, self._kernel.winnable(start, stop))
             self.scan_windows += 1
         return self._window[1][self.vertex]
 
-    # -- hypothesis management ----------------------------------------------
-
     def _scan(self) -> bool:
-        """Find the next machine with some (current vertex, m) reachable
-        and winning; initialize its candidate set.  False, with the ordinal
-        back where the scan began, when a full wrap found none."""
+        """Adopt the first machine from the current ordinal on, wrapping
+        around, with some (current vertex, m) reachable and winning.  False,
+        with the ordinal where the scan began, when none has."""
+        if self._adopt():
+            return True
         begin, size = self.ordinal, liveness.SCAN_WINDOW
-        while not self._adopt():
-            i = self.ordinal
-            stop = self.hypotheses if i >= begin else begin
-            found = liveness.first_marked(self._marked, i + 1, stop, size)
-            if found is None and i >= begin:
-                found = liveness.first_marked(self._marked, 0, begin, size)
-            if found is None:
-                self.ordinal = begin
-                return False
-            self.ordinal = found
-        return True
+        found = liveness.first_marked(self._marked, begin + 1, self.hypotheses, size)
+        if found is None:
+            found = liveness.first_marked(self._marked, 0, begin, size)
+        if found is None:
+            return False
+        self.ordinal = found
+        return self._adopt()
 
     def _adopt(self) -> bool:
         """Take the current machine as the hypothesis when some (current
         vertex, m) is reachable in its product and has a winning lasso."""
         reach = reachable_positions(self._product())
-        ms = sorted(m for (v, m) in reach if v == self.vertex)
-        if ms:
-            self.candidates = ms
-            self.tracking = True
-            if self._conjecture_from_current():
-                return True
-            self.tracking = False
-        return False
+        self.candidates = sorted(m for (v, m) in reach if v == self.vertex)
+        return self._conjecture_from_current()
 
     def _conjecture_from_current(self) -> bool:
         """Pick the least candidate with a winning lasso at the current
@@ -329,97 +309,55 @@ class AdaptiveController:
         prod = self._product()
         while self.candidates:
             m = self.candidates[0]
-            pos = (self.vertex, m)
-            if pos in prod.positions:
-                try:
-                    self.lasso = winning_lasso(prod, pos)
-                    self.conjecture = m
-                    self.cursor = 0
-                    return True
-                except GameError:
-                    pass
-            self.candidates.pop(0)
+            try:
+                self.lasso = winning_lasso(prod, (self.vertex, m))
+                self.conjecture = m
+                self.cursor = 0
+                return True
+            except GameError:
+                self.candidates.pop(0)
         self.conjecture = None
         self.lasso = None
         return False
-
-    def _lasso_entry(self) -> tuple[int, str]:
-        steps = self.lasso.prefix + self.lasso.cycle
-        return steps[self.cursor]
 
     def _bump_cursor(self):
         # past the end, play continues at the cycle head; the cycle has even
         # length, so the player alternation phase is preserved
         self.cursor += 1
-        if self.cursor >= len(self.lasso.prefix) + len(self.lasso.cycle):
+        if self.cursor >= len(self.lasso):
             self.cursor = len(self.lasso.prefix)
-
-    def _advance_hypothesis(self):
-        self.tracking = False
-        self.conjecture = None
-        self.lasso = None
-        self.candidates = []
-        self.ordinal = (self.ordinal + 1) % self.hypotheses
-
-    # -- the actual strategy -------------------------------------------------
 
     def next_action(self, observed: str) -> str:
         """Consume the environment's move, emit ours."""
         g = self.game
         if g.vertices[self.vertex].owner != 1:
             raise GameError("next_action called out of turn")
-
-        if self.tracking:
+        held = bool(self.candidates)
+        self.vertex = g.step(self.vertex, observed)
+        if held:
             # candidates predicting a different output are refuted; machine
             # states do not advance on player-1 moves
             labels = self._product().transducer.labels
             self.candidates = [m for m in self.candidates if labels[m] == observed]
-            if self.conjecture is not None and self.conjecture not in self.candidates:
-                # the conjectured lasso predicted exactly this machine's
-                # label, so a refuted conjecture is a lasso deviation
-                self.conjecture = None
-                self.lasso = None
-            elif self.conjecture is not None:
+            if self.conjecture in self.candidates:
                 self._bump_cursor()  # prediction confirmed, step past the entry
-
-        self.vertex = g.step(self.vertex, observed)
-
-        # hypothesis upkeep, now standing on a player-2 vertex
-        if self.tracking and not self.candidates:
-            self._advance_hypothesis()
-        if self.tracking and self.lasso is None:
-            if not self._conjecture_from_current():
-                self._advance_hypothesis()
-        if not self.tracking:
+            elif not self._conjecture_from_current():
+                self.ordinal = (self.ordinal + 1) % self.hypotheses  # hypothesis died
+        if not self.candidates:
             self._scan()
 
-        action = None
-        guard = self.hypotheses + 2
-        while action is None and self.tracking and guard > 0:
-            guard -= 1
-            pos, act = self._lasso_entry()
-            vid = self._product().positions.get((self.vertex, self.conjecture))
-            if vid is not None and pos == vid:
-                action = act
-                self._bump_cursor()
-            else:
-                # stale track: recompute the lasso at our actual position;
-                # the candidate itself was not refuted by any observation
-                self.conjecture = None
-                self.lasso = None
-                if not self._conjecture_from_current():
-                    self._advance_hypothesis()
-                    self._scan()
-        if action is None:
-            # nothing fits: the environment is outside the machine class.
-            # Emit a default move and keep rescanning on the next turn.
-            action = g.alphabet2[0]
-
-        if self.tracking:
-            t = self._product().transducer
+        if self.candidates:
+            prod = self._product()
+            pos, action = (self.lasso.prefix + self.lasso.cycle)[self.cursor]
+            if pos != prod.positions[(self.vertex, self.conjecture)]:
+                raise GameError("internal error: lasso entry not at the conjecture")
+            self._bump_cursor()
+            t = prod.transducer
             self.candidates = sorted({t.step(m, action) for m in self.candidates})
-            if self.conjecture is not None:
-                self.conjecture = t.step(self.conjecture, action)
+            self.conjecture = t.step(self.conjecture, action)
+        else:
+            # nothing fits: the environment is outside the machine class
+            action = g.alphabet2[0]
         self.vertex = g.step(self.vertex, action)
         self.steps += 1
         self.log.append(HypothesisRecord(self.steps, self.ordinal, len(self.candidates)))
@@ -432,7 +370,6 @@ class AdaptiveController:
             self.ordinal,
             tuple(self.candidates),
             self.conjecture,
-            self.tracking,
             self.cursor,
             None if self.lasso is None else (self.lasso.prefix, self.lasso.cycle),
         )

@@ -123,9 +123,7 @@ def product_scan(ctrl) -> bool:
         ms = sorted(m for (v, m) in reach if v == ctrl.vertex)
         if ms:
             ctrl.candidates = ms
-            ctrl.tracking = True
             if ctrl._conjecture_from_current():
                 return True
-            ctrl.tracking = False
         ctrl.ordinal = (ctrl.ordinal + 1) % ctrl.hypotheses
     return False

@@ -1,5 +1,6 @@
 """The benchmark tracer wraps tgames attributes by name; each must exist."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -38,3 +39,15 @@ def test_every_tracer_only_import_is_traced():
     for module, name in kept:
         assert name.isidentifier(), (module, name)
         assert (module, name) in wrapped, (module, name)
+
+
+def test_no_module_changes_the_recursion_limit():
+    """The recursion limit is interpreter-global state: no module of the
+    package may set it, so deep inputs need loops, not recursion."""
+    package = TRACING.parent.parent / "src" / "tgames"
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        nodes = list(ast.walk(tree))
+        names = {getattr(node, "attr", getattr(node, "id", None)) for node in nodes}
+        names |= {node.name for node in nodes if isinstance(node, ast.alias)}
+        assert "setrecursionlimit" not in names, path.name

@@ -115,6 +115,27 @@ def trace_answers():
         yield [(r.step, r.ordinal, r.candidates) for r in trace.hypothesis_log]
 
 
+def not_live_trace_answers():
+    """Controller plays on games that are not live, where it may lose: the
+    golden arenas not live at k = 1, 2 and every 10th one-pair QBF game at
+    k = 2, four hidden machines each.  These plays reach the paths the live
+    games never take: a hypothesis whose candidates all lack a winning
+    lasso, and the default move after a scan that finds nothing."""
+    rng = random.Random("golden-not-live")
+    games = [(g, k) for g in arenas() for k in (1, 2) if not check_k_live(g, k).live]
+    games += [(qbf_to_game(psi), 2) for psi in one_pair_formulas()[::10]]
+    for g, k in games:
+        total = count(k, g.alphabet1, g.alphabet2)
+        bound = steps_bound(g.n, k, g.alphabet1, g.alphabet2)
+        for ordinal in sorted(rng.sample(range(total), min(4, total))):
+            ctrl = adaptive_controller(g, k)
+            hidden = from_ordinal(ordinal, k, g.alphabet1, g.alphabet2)
+            trace = simulate(g, ctrl, hidden, bound)
+            yield ordinal, trace.actions, trace.winner, trace.steps
+            yield [(r.step, r.ordinal, r.candidates) for r in trace.hypothesis_log]
+            yield ctrl.products_built, ctrl.scan_windows
+
+
 def criterion_2a_answers():
     for psi in one_pair_formulas()[::25]:
         res = solve_bounded(qbf_to_game(psi), 2)
@@ -148,6 +169,7 @@ PINNED = {
     "bounded": "ab46b752139358fd629729d9f2e090c1f4e14f2547ca8c2c4e8794f6543fcd33",
     "bounded_verdicts": "d7b23ee3b3227895dad244e785e7ae227a43735098119f4fc9137583823ce6d2",
     "traces": "2d25d038195f3c3eaf2197cbc88184977bbd04a4d733546a6047bbecf9625270",
+    "traces_not_live": "77bd9bca20417ee76e8545cfaefc8158b457a0cedbc42462f951c40eeeaf5150",
     "criterion_2a": "aee779f5e873bc08d558c94934e2c6a6f0789ed5d484ba42de9899a1e8b4d5e3",
 }
 
@@ -160,6 +182,7 @@ PINNED = {
         ("bounded", bounded_answers),
         ("bounded_verdicts", bounded_verdict_answers),
         ("traces", trace_answers),
+        ("traces_not_live", not_live_trace_answers),
         ("criterion_2a", criterion_2a_answers),
     ],
 )

@@ -22,6 +22,7 @@ from tgames import (
     cnf_liveness_cross_check,
     validate,
 )
+from tgames.cli import main
 from tgames.reductions import ReplayStrategy, optimal_y_chooser
 from tgames.synthesis import simulate
 
@@ -430,6 +431,14 @@ class TestDimacs:
         with pytest.raises(GameError, match=f"^{message}"):
             parse(f"{problem}\n{body}")
         assert parse(f"p cnf 2 1\n{body}").clauses == ((1, 2),)
+
+    def test_satlib_trailer_ends_the_formula(self, tmp_path):
+        # SATLIB files close with a '%' line and a lone '0'
+        text = "p cnf 1 1\n1 0\n%\n0\n"
+        assert parse_dimacs_cnf(text).clauses == ((1,),)
+        doc = tmp_path / "satlib.cnf"
+        doc.write_text(text)
+        assert main(["gen", "cnf", str(doc), "-o", str(tmp_path / "game.bg")]) == 0
 
     def test_qdimacs_rejects_block_quantifiers(self):
         text = "p cnf 4 1\na 1 3 0\ne 2 4 0\n1 0\n"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -87,6 +88,33 @@ class TestSolveParity:
         rng = random.Random(2020)
         g = random_game(rng, 10, 10, ("a", "b"), ("x", "y"), "parity")
         self._check_strategies(g)
+
+    def test_leaves_the_recursion_limit_alone(self, monkeypatch):
+        # 600 disjoint 2-cycles with 1,200 distinct colors, more than the
+        # default recursion limit of 1,000.  Below color 1160 cycle i holds
+        # 2i and 2i + 1, so player 1 wins it; above, the pairs shift by one
+        # and player 2 wins all but the cycle holding 1160 and 1199.  Mixing
+        # the winners more finely costs the solver cubic time.
+        def refuse(limit):
+            raise AssertionError("solve_parity changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        pairs = [(2 * i, 2 * i + 1) for i in range(580)]
+        pairs += [(2 * i + 1, 2 * i + 2) for i in range(580, 599)] + [(1160, 1199)]
+        rng = random.Random(600)
+        vertices, edges = [], []
+        for i, pair in enumerate(pairs):
+            c1, c2 = rng.sample(pair, 2)
+            vertices += [(f"u{i}", 1, c1), (f"w{i}", 2, c2)]
+            edges += [(f"u{i}", "a", f"w{i}"), (f"w{i}", "x", f"u{i}")]
+        assert len({c for v in vertices for c in v[2:]}) == 1200
+        g = make_game("parity", ["a"], ["x"], vertices, edges, "u0")
+        sol = solve_parity(g)
+        for i, pair in enumerate(pairs):
+            winner = 2 if max(pair) % 2 == 0 else 1
+            assert sol.winner(g.vertex(f"u{i}").id) == winner
+            assert sol.winner(g.vertex(f"w{i}").id) == winner
+        assert len(sol.region2) == 2 * 19
 
     @staticmethod
     def _check_strategies(g):

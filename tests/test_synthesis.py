@@ -456,7 +456,7 @@ class TestWindowedScan:
     @staticmethod
     def _scan_from(ctrl, vertex, ordinal, scan):
         ctrl.vertex, ctrl.ordinal = vertex, ordinal
-        ctrl.candidates, ctrl.tracking = [], False
+        ctrl.candidates = []
         ctrl.conjecture, ctrl.lasso = None, None
         return scan(ctrl)
 

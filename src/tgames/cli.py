@@ -19,7 +19,8 @@ import time
 
 from . import __version__
 from .gameio import parse_game, serialize_game
-from .graphs import GameError, validate as validate_graph, complete as complete_graph
+from .graphs import GameError, check_alphabet, complete as complete_graph
+from .graphs import validate as validate_graph
 from .liveness import DEFAULT_CAP, check_k_live
 from .product import build_product, p2_winning_positions
 from .reductions import (
@@ -168,28 +169,15 @@ def _cmd_check_live(args, report) -> int:
 
 def _cmd_solve(args, report) -> int:
     g = _load_game(args.game, report)
-    if args.method == "belief":
-        result = solve_bounded(g, args.k, belief_cap=args.cap, machine_cap=args.cap)
-        sizes = {"positions": result.positions, "settled": result.settled}
-        if result.p2_wins is None:
-            print(f"undecided: {result.reason}")
-            report.finish("undecided-at-cap", **sizes)
-            return EXIT_UNDECIDED
-        print("p2-wins" if result.p2_wins else "p1-wins")
-        report.finish("ok" if result.p2_wins else "p1-wins", **sizes)
-        return EXIT_OK if result.p2_wins else EXIT_NEGATIVE
-    verdict = check_k_live(g, args.k, cap=args.cap)
-    if verdict.undecided:
-        print("undecided: machine count exceeds cap")
-        report.finish("undecided-at-cap")
+    result = solve_bounded(g, args.k, belief_cap=args.cap, machine_cap=args.cap)
+    sizes = {"positions": result.positions, "settled": result.settled}
+    if result.p2_wins is None:
+        print(f"undecided: {result.reason}")
+        report.finish("undecided-at-cap", **sizes)
         return EXIT_UNDECIDED
-    if verdict.live:
-        print("p2-wins (game is live for this bound)")
-        report.finish("ok")
-        return EXIT_OK
-    print("not-live (no verdict on winning; try --method belief)")
-    report.finish("not-live")
-    return EXIT_NEGATIVE
+    print("p2-wins" if result.p2_wins else "p1-wins")
+    report.finish("ok" if result.p2_wins else "p1-wins", **sizes)
+    return EXIT_OK if result.p2_wins else EXIT_NEGATIVE
 
 
 def _cmd_simulate(args, report) -> int:
@@ -245,8 +233,8 @@ def _cmd_gen(args, report) -> int:
 
 
 def _cmd_enumerate(args, report) -> int:
-    outputs = args.outputs.split(",")
-    inputs = args.inputs.split(",")
+    outputs = check_alphabet(args.outputs.split(","))
+    inputs = check_alphabet(args.inputs.split(","))
     total = count(args.k, outputs, inputs)
     if args.count_only:
         print(total)
@@ -285,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_CAP,
         help="resource cap: machines in a sweep or an enumerate window; "
-        "solve --method belief applies it to the machine count and to the "
-        "belief positions",
+        "solve applies it to the machine count and to the belief positions",
     )
     parser.add_argument("--json-report", metavar="PATH", help="write a JSON run report")
     parser.add_argument(
@@ -321,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="does player 2 win against k-state machines?")
     p.add_argument("game")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--method", choices=("belief", "live"), default="belief")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("simulate", help="play the adaptive controller")

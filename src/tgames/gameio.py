@@ -16,7 +16,7 @@ names may use any non-whitespace characters (product positions are named
 
 from __future__ import annotations
 
-from .graphs import GameGraph, GameError, OBJECTIVES, SYMBOL_RE, make_game
+from .graphs import GameGraph, GameError, OBJECTIVES, check_alphabet, make_game
 
 
 class ParseError(GameError):
@@ -53,10 +53,10 @@ def parse_game(text: str) -> GameGraph:
                 raise ParseError(lineno, f"duplicate {kind} line")
             if not args:
                 raise ParseError(lineno, f"{kind} must list at least one symbol")
-            for sym in args:
-                if not SYMBOL_RE.match(sym):
-                    raise ParseError(lineno, f"bad action symbol {sym!r}")
-            dst.extend(args)
+            try:
+                dst.extend(check_alphabet(args))
+            except GameError as e:
+                raise ParseError(lineno, str(e)) from None
         elif kind == "vertex":
             if len(args) != 3:
                 raise ParseError(lineno, "expected vertex <name> owner=<1|2> color=<uint>")

@@ -120,6 +120,17 @@ class GameGraph:
         return self._total
 
 
+def check_alphabet(symbols: Iterable[str]) -> tuple[str, ...]:
+    """`symbols` as an alphabet tuple; raises on a malformed or repeated one."""
+    alphabet = tuple(symbols)
+    for i, sym in enumerate(alphabet):
+        if not SYMBOL_RE.match(sym):
+            raise GameError(f"bad action symbol {sym!r}")
+        if sym in alphabet[:i]:
+            raise GameError(f"duplicate action symbol {sym!r}")
+    return alphabet
+
+
 def make_game(
     objective: str,
     alphabet1: Sequence[str],
@@ -135,13 +146,10 @@ def make_game(
     """
     if objective not in OBJECTIVES:
         raise GameError(f"unknown objective {objective!r}")
-    a1 = tuple(alphabet1)
-    a2 = tuple(alphabet2)
+    a1 = check_alphabet(alphabet1)
+    a2 = check_alphabet(alphabet2)
     if not a1 or not a2:
         raise GameError("alphabets must be nonempty")
-    for sym in a1 + a2:
-        if not SYMBOL_RE.match(sym):
-            raise GameError(f"bad action symbol {sym!r}")
     vs: list[Vertex] = []
     by_name: dict[str, int] = {}
     for name, owner, color in vertices:
@@ -173,20 +181,19 @@ def make_game(
     return GameGraph(objective, a1, a2, tuple(vs), emap, by_name[init])
 
 
-def validate(g: GameGraph, objective: Optional[str] = None) -> list[Violation]:
+def validate(g: GameGraph) -> list[Violation]:
     """Check arena invariants; returns violations instead of raising.
 
     Reported kinds: `init-owner`, `typing` (edge uses the wrong player's
     alphabet or targets the wrong side), `totality` (missing edge), and
     `color-range` (non-{1,2} color under buchi/reachability).
     """
-    obj = objective or g.objective
     out: list[Violation] = []
     init = g.vertices[g.initial]
     if init.owner != 1:
         out.append(Violation("init-owner", init.name))
     for v in g.vertices:
-        if obj in (BUCHI, REACHABILITY) and v.color not in (1, 2):
+        if g.objective in (BUCHI, REACHABILITY) and v.color not in (1, 2):
             out.append(Violation("color-range", v.name))
         acting = g.acting_alphabet(v.id)
         for a in acting:
@@ -347,11 +354,9 @@ def _loop_colors(
     return [g.vertices[v].color for v in head], [g.vertices[v].color for v in loop]
 
 
-def winner_of_lasso(
-    w: Word, g: GameGraph, objective: Optional[str] = None, start: Optional[int] = None
-) -> int:
+def winner_of_lasso(w: Word, g: GameGraph, start: Optional[int] = None) -> int:
     """Decide who wins the infinite play generated by `w` from `start` (default: initial)."""
-    obj = objective or g.objective
+    obj = g.objective
     head, loop = _loop_colors(g, w, g.initial if start is None else start)
     if obj == PARITY or obj == BUCHI:
         # for buchi, colors are {1,2}: max-even on the loop == a 2 recurs

@@ -317,14 +317,13 @@ def word_in_Ak(
     k: int,
     outputs: Sequence[str],
     inputs: Sequence[str],
-    enumeration_cap: int = DEFAULT_CAP,
 ) -> Optional[Transducer]:
     """Some k-state machine agreeing with `w`, or None.
 
     Existence is decided by folding the word's input-prefix chain into at
     most k states (exhaustive backtracking over state assignments with
     forced-transition propagation).  When the machine count is at most
-    `enumeration_cap`, the machine returned is the first agreeing one in
+    `DEFAULT_CAP`, the machine returned is the first agreeing one in
     enumeration order: the word is replayed through the `MachineSet` of
     each ordinal window in turn, and the lowest machine left in the first
     window with a survivor is it.  Above the cap the machine the search
@@ -345,7 +344,7 @@ def word_in_Ak(
             raise GameError(f"player-1 action {out!r} outside the output alphabet")
     found = _fold_chain(actions, k, outputs, inputs)
     total = count(k, outputs, inputs)
-    if found is None or total > enumeration_cap:
+    if found is None or total > DEFAULT_CAP:
         return found
 
     def agreeing(start: int) -> int:

@@ -11,10 +11,10 @@ deterministic observer whose states are ints: a machine here, and the
 subset construction over all k-state machines in `synthesis.solve_bounded`
 (whose states are belief bitmasks, settled to `SETTLED` on player 2's base
 winning region).  It numbers the reachable (vertex, state) pairs in
-breadth-first order and writes one successor row per vertex id, naming
-nothing.  `_int_arena` reads the rows as the parity solver's integer form,
-which is all `solve_bounded` needs; `_named_graph` names them as a
-`GameGraph`, which a product builds only when its `graph` is first read.
+breadth-first order and returns them as the solvers' integer `Arena`, the
+paradise pair appended, naming nothing.  `solve_bounded` hands that arena
+to the parity solver as it is; `_named_graph` names it as a `GameGraph`,
+which a product builds only when its `graph` is first read.
 
 Because player 1 has no real choice left, each product solves in polynomial
 time via `solve_one_player` on its on-policy rows (`ProductGame.arena`),
@@ -53,7 +53,7 @@ class ProductGame:
         self,
         base: GameGraph,
         transducer: Transducer,
-        rows: list[list[int]],
+        explored: Arena,
         positions: dict[Position, int],
         order: Sequence[Position],
     ):
@@ -63,13 +63,13 @@ class ProductGame:
         self.order = tuple(order)
         self.initial = self.order[0]
         self.top = (len(order), len(order) + 1)
-        self._rows = rows
+        self._explored = explored
         self._solution: Optional[tuple[frozenset[int], Mapping[int, Lasso]]] = None
 
     @cached_property
     def graph(self) -> GameGraph:
         """The realized arena, total, positions named `(<vertex>,<state>)`."""
-        return _named_graph(self.base, self._rows, self.order)
+        return _named_graph(self.base, self._explored, self.order)
 
     @cached_property
     def of_vertex(self) -> dict[int, Position]:
@@ -78,30 +78,23 @@ class ProductGame:
 
     @cached_property
     def arena(self) -> Arena:
-        """The arena's rows with player 1 pinned to the machine: a player-1
+        """The explored arena with player 1 pinned to the machine: a player-1
         position keeps only the machine's action, player-2 positions keep
         every action, and the paradise pair keeps one player-1 move into
         `top[1]` and every player-2 move back."""
-        g, rows, t = self.base, self._rows, self.transducer
-        alphabet2, vertices = g.alphabet2, g.vertices
+        full, t = self._explored, self.transducer
         pinned = [(a,) for a in t.labels]
         at = [t.outputs.index(a) for a in t.labels]
-        owner, color, succ, acts = [], [], [], []
-        for (u, x), row in zip(self.order, rows):
-            v = vertices[u]
-            owner.append(v.owner)
-            color.append(v.color)
-            if v.owner == 1:
-                succ.append([row[at[x]]])
-                acts.append(pinned[x])
-            else:
-                succ.append(row)
-                acts.append(alphabet2)
-        owner += (1, 2)
-        color += (2, 2)
-        succ += (rows[-2][:1], rows[-1])
-        acts += (g.alphabet1[:1], alphabet2)
-        return Arena(g.objective, g.alphabet1, alphabet2, owner, color, succ, acts)
+        owner, succ, acts = full.owner, full.succ[:], full.acts[:]
+        for i, (_u, x) in enumerate(self.order):
+            if owner[i] == 1:
+                succ[i] = [succ[i][at[x]]]
+                acts[i] = pinned[x]
+        top_a = self.top[0]
+        succ[top_a], acts[top_a] = succ[top_a][:1], acts[top_a][:1]
+        return Arena(
+            full.objective, full.alphabet1, full.alphabet2, owner, full.color, succ, acts
+        )
 
     def solution(self) -> tuple[frozenset[int], Mapping[int, Lasso]]:
         if self._solution is None:
@@ -116,7 +109,7 @@ def _explore(
     step: Callable[[int, str], int],
     cap: float = math.inf,
     settled: frozenset[int] = frozenset(),
-) -> tuple[Optional[list[list[int]]], dict[Position, int], list[Position]]:
+) -> tuple[Optional[Arena], dict[Position, int], list[Position]]:
     """Cross the total arena `g` with a deterministic observer.
 
     Numbers the (base vertex, state) pairs reachable from (initial vertex,
@@ -127,10 +120,11 @@ def _explore(
     vertex of `settled`, and the start when the initial vertex is one,
     takes the state `SETTLED` instead, which offers every action and steps
     to itself: from there on the play is the base arena's.  Returns the
-    successor rows by vertex id, each in its owner's alphabet order, the
-    position ids and the positions in id order; no position is named
-    (`_named_graph` does that).  Exploration stops as soon as more than
-    `cap` positions exist; the rows are then None.
+    integer `Arena`, each position with its base vertex's owner and color
+    and its row in its owner's alphabet order, then the position ids and
+    the positions in id order; no position is named (`_named_graph` does
+    that).  Exploration stops as soon as more than `cap` positions exist;
+    the arena is then None.
     """
     first = (g.initial, SETTLED if g.initial in settled else start)
     positions: dict[Position, int] = {first: 0}
@@ -185,35 +179,24 @@ def _explore(
         row[:] = [top_b if j < 0 else j for j in row]
     rows.append([top_b] * len(g.alphabet1))
     rows.append([top_a] * len(g.alphabet2))
-    return rows, positions, order
-
-
-def _named_graph(
-    g: GameGraph, rows: list[list[int]], order: Sequence[Position]
-) -> GameGraph:
-    """The explorer's arena as a `GameGraph`: position (u, x) is named
-    `(<name of u>,<x>)` and keeps u's owner and color."""
-    vertices = []
-    for i, (u, x) in enumerate(order):
-        v = g.vertices[u]
-        vertices.append(Vertex(i, f"({v.name},{x})", v.owner, v.color))
-    vertices.append(Vertex(len(order), TOP_NAMES[0], 1, 2))
-    vertices.append(Vertex(len(order) + 1, TOP_NAMES[1], 2, 2))
-    edges = {
-        (v.id, a): t
-        for v, row in zip(vertices, rows)
-        for a, t in zip(g.alphabet1 if v.owner == 1 else g.alphabet2, row)
-    }
-    return GameGraph(g.objective, g.alphabet1, g.alphabet2, tuple(vertices), edges, 0)
-
-
-def _int_arena(g: GameGraph, rows: list[list[int]], order: Sequence[Position]) -> Arena:
-    """The explorer's arena in the solver's integer form, with no names."""
-    vertices = g.vertices
     owner = [vertices[u].owner for u, _x in order] + [1, 2]
     color = [vertices[u].color for u, _x in order] + [2, 2]
     acts = [g.alphabet1 if o == 1 else g.alphabet2 for o in owner]
-    return Arena(g.objective, g.alphabet1, g.alphabet2, owner, color, rows, acts)
+    arena = Arena(g.objective, g.alphabet1, g.alphabet2, owner, color, rows, acts)
+    return arena, positions, order
+
+
+def _named_graph(g: GameGraph, arena: Arena, order: Sequence[Position]) -> GameGraph:
+    """The explorer's arena as a `GameGraph`: position (u, x) is named
+    `(<name of u>,<x>)`, the paradise pair after `TOP_NAMES`."""
+    names = [f"({g.vertices[u].name},{x})" for u, x in order] + list(TOP_NAMES)
+    vertices = tuple(map(Vertex, range(arena.n), names, arena.owner, arena.color))
+    edges = {
+        (v, a): t
+        for v, (row, acts) in enumerate(zip(arena.succ, arena.acts))
+        for a, t in zip(acts, row)
+    }
+    return GameGraph(g.objective, g.alphabet1, g.alphabet2, vertices, edges, 0)
 
 
 def build_product(g: GameGraph, t: Transducer) -> ProductGame:
@@ -226,10 +209,10 @@ def build_product(g: GameGraph, t: Transducer) -> ProductGame:
         raise GameError("build_product requires a total arena (run complete first)")
     offer = [{label: m} for m, label in enumerate(t.labels)].__getitem__
     by_input = [dict(zip(t.inputs, row)) for row in t.trans]
-    rows, positions, order = _explore(
+    arena, positions, order = _explore(
         g, t.initial, offer, lambda x, b: by_input[x][b]
     )
-    return ProductGame(g, t, rows, positions, order)
+    return ProductGame(g, t, arena, positions, order)
 
 
 def reachable_positions(p: ProductGame) -> tuple[Position, ...]:

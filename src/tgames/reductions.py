@@ -34,7 +34,7 @@ from .graphs import (
 )
 from .liveness import DEFAULT_CAP, LivenessVerdict, check_k_live
 from .product import build_product, p2_winning_positions, reachable_positions
-from .synthesis import DEFAULT_BELIEF_CAP, simulate, solve_bounded
+from .synthesis import simulate, solve_bounded
 from .transducers import Transducer
 
 # ---------------------------------------------------------------------------
@@ -415,24 +415,19 @@ class CnfCrossCheck:
     verdict: Optional[LivenessVerdict] = None
 
 
-def cnf_liveness_cross_check(
-    phi: CnfFormula,
-    k: Optional[int] = None,
-    cap: int = DEFAULT_CAP,
-) -> CnfCrossCheck:
-    """Cross-check the CNF game against the satisfiability oracle:
-    the game must be k-live exactly when the formula is unsatisfiable.
-    For satisfiable formulas the fixed-assignment machine is additionally
-    verified to be a liveness counterexample."""
-    k = phi.k if k is None else k
+def cnf_liveness_cross_check(phi: CnfFormula, cap: int = DEFAULT_CAP) -> CnfCrossCheck:
+    """Cross-check the CNF game against the satisfiability oracle: the game
+    must be k-live, k the variable count, exactly when the formula is
+    unsatisfiable.  For satisfiable formulas the fixed-assignment machine is
+    additionally verified to be a liveness counterexample."""
     sat = sat_brute_force(phi)
     g = cnf_to_game(phi)
-    verdict = check_k_live(g, k, cap=cap)
+    verdict = check_k_live(g, phi.k, cap=cap)
     if verdict.undecided:
         return CnfCrossCheck(sat, None, None, verdict=verdict)
     agrees = (sat is None) == verdict.live
     witness_ok = None
-    if sat is not None and k == phi.k:
+    if sat is not None:
         t = assignment_transducer(phi, sat)
         prod = build_product(g, t)
         win, _ = p2_winning_positions(prod)
@@ -589,11 +584,7 @@ class QbfCrossCheck:
     counter_product_losing: Optional[bool] = None
 
 
-def qbf_value_cross_check(
-    psi: QbfFormula,
-    machine_cap: int = DEFAULT_CAP,
-    belief_cap: int = DEFAULT_BELIEF_CAP,
-) -> QbfCrossCheck:
+def qbf_value_cross_check(psi: QbfFormula) -> QbfCrossCheck:
     """Cross-check the alternating-formula game against the validity oracle:
     player 2 must win against every (k+1)-state machine exactly when the
     formula is valid.
@@ -604,7 +595,7 @@ def qbf_value_cross_check(
     losing for player 2 outright."""
     valid = qbf_brute_force(psi)
     g = qbf_to_game(psi)
-    solved = solve_bounded(g, psi.k + 1, machine_cap=machine_cap, belief_cap=belief_cap)
+    solved = solve_bounded(g, psi.k + 1)
     game_agrees = None if solved.p2_wins is None else (solved.p2_wins == valid)
     result = QbfCrossCheck(valid, solved.p2_wins, game_agrees)
     if not valid:

@@ -18,8 +18,8 @@ Two routes:
   belief to the explorer's `SETTLED` state, which offers every label and
   steps to itself, and play goes on in a copy of the base game of at most
   |V| positions; `BoundedSolveResult.settled` counts them.  The parity
-  solver gets the arena's integer form; the named `GameGraph` and the
-  decoded beliefs (`BeliefArena`) are built only when read.
+  solver gets the explored integer arena as it is; the named `GameGraph`
+  and the decoded beliefs (`BeliefArena`) are built only when read.
 
 * `adaptive_controller` produces the online strategy that wins every k-live
   game: hypothesize machines in enumeration order, track the candidate
@@ -49,12 +49,11 @@ from .graphs import (
 )
 from .graphs import make_game  # noqa: F401  -- unused here; bench/tracing.py wraps it
 from . import liveness
-from .solvers import ParitySolution, solve_parity
+from .solvers import Arena, ParitySolution, solve_parity
 from .product import (
     SETTLED,
     ProductGame,
     _explore,
-    _int_arena,
     _named_graph,
     build_product,
     reachable_positions,
@@ -89,18 +88,18 @@ class BeliefArena:
     def __init__(
         self,
         base: GameGraph,
-        rows: list[list[int]],
+        arena: Arena,
         order: list[tuple[int, int]],
         machines: MachineSet,
     ):
-        self._base, self._rows, self._order = base, rows, order
+        self._base, self._arena, self._order = base, arena, order
         self._machines = machines
 
     @cached_property
     def graph(self) -> GameGraph:
         number: dict[int, int] = {}
         named = [(u, number.setdefault(x, len(number))) for u, x in self._order]
-        return _named_graph(self._base, self._rows, named)
+        return _named_graph(self._base, self._arena, named)
 
     @cached_property
     def belief_of(self) -> dict[int, tuple[int, Optional[Belief]]]:
@@ -132,10 +131,10 @@ def solve_bounded(
 
     Builds the knowledge arena reachable from the belief that every k-state
     machine may be playing, each in state 0, scores it under `g.objective`,
-    and hands its integer form to the parity solver.  Beliefs only ever
-    shrink along a play and the machine pool is finite, so an infinite play
-    consistent at every prefix is consistent with one fixed machine: the
-    arena decides exactly the bounded-environment question.  Each belief is
+    and hands the explored integer arena to the parity solver.  Beliefs
+    only ever shrink along a play and the machine pool is finite, so an
+    infinite play consistent at every prefix is consistent with one fixed
+    machine: the arena decides exactly the bounded-environment question.  Each belief is
     an int of one `MachineSet` over all machines, which gives the layout
     and the arena's `offer` and `step`.
 
@@ -153,18 +152,19 @@ def solve_bounded(
     base = solve_parity(g)
 
     machines = MachineSet(k, g.alphabet1, g.alphabet2, 0, total)
-    rows, _positions, order = _explore(
+    arena, _positions, order = _explore(
         g, machines.start, machines.offer, machines.step, belief_cap, base.region2
     )
     settled = sum(x == SETTLED for _u, x in order)
-    if rows is None:
+    if arena is None:
         return BoundedSolveResult(
             None,
             reason="belief position count above cap",
             positions=len(order),
             settled=settled,
         )
-    solution = solve_parity(_int_arena(g, rows, order))
+    solution = solve_parity(arena)
+    del arena.pred  # the solver's predecessor rows; `result.arena` need not keep them
     strategy = {
         vid: a for vid, a in solution.strategy2.items() if vid < len(order)
     }
@@ -173,7 +173,7 @@ def solve_bounded(
         positions=len(order),
         settled=settled,
         strategy=strategy,
-        arena=BeliefArena(g, rows, order, machines),
+        arena=BeliefArena(g, arena, order, machines),
         solution=solution,
     )
 
@@ -394,6 +394,8 @@ def simulate(
     """
     if tuple(hidden.outputs) != g.alphabet1 or tuple(hidden.inputs) != g.alphabet2:
         raise GameError("hidden machine alphabets do not match the arena")
+    if max_steps < 0:
+        raise GameError(f"max_steps {max_steps} is negative")
     vertex = g.initial
     state = hidden.initial
     actions: list[str] = []

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .graphs import GameError, SYMBOL_RE, Word
+from .graphs import GameError, Word, check_alphabet
 
 
 @dataclass(frozen=True)
@@ -400,11 +400,11 @@ def dedupe_behavioral(stream: Iterable[Transducer]) -> Iterator[Transducer]:
 
 def parse_transducer(text: str) -> Transducer:
     k = None
-    inputs: list[str] = []
-    outputs: list[str] = []
+    inputs: tuple[str, ...] = ()
+    outputs: tuple[str, ...] = ()
     init = 0
     labels: dict[int, str] = {}
-    trans: dict[tuple[int, str], int] = {}
+    trans: dict[tuple[int, str], tuple[int, int]] = {}  # -> (target, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -416,34 +416,47 @@ def parse_transducer(text: str) -> Transducer:
                 assert len(args) == 1 and args[0].startswith("k=")
                 k = int(args[0][2:])
             elif kind == "inputs":
-                assert args and all(SYMBOL_RE.match(s) for s in args)
-                inputs = args
+                assert args
+                inputs = check_alphabet(args)
             elif kind == "outputs":
-                assert args and all(SYMBOL_RE.match(s) for s in args)
-                outputs = args
+                assert args
+                outputs = check_alphabet(args)
             elif kind == "init":
                 assert len(args) == 1
                 init = int(args[0])
             elif kind == "label":
                 assert len(args) == 2
-                labels[int(args[0])] = args[1]
+                m = int(args[0])
+                if m in labels:
+                    raise GameError(f"second label line for state {m}")
+                labels[m] = args[1]
             elif kind == "trans":
                 assert len(args) == 3
-                trans[(int(args[0]), args[1])] = int(args[2])
+                m, b = int(args[0]), args[1]
+                if (m, b) in trans:
+                    raise GameError(f"second trans line for state {m} input {b}")
+                trans[(m, b)] = (int(args[2]), lineno)
             else:
-                raise GameError(f"line {lineno}: unknown directive {kind!r}")
+                raise GameError(f"unknown directive {kind!r}")
         except (AssertionError, ValueError):
             raise GameError(f"line {lineno}: malformed {kind} line") from None
+        except GameError as e:
+            raise GameError(f"line {lineno}: {e}") from None
     if k is None or not inputs or not outputs:
         raise GameError("missing transducer/inputs/outputs line")
+    for (m, s), (_target, lineno) in trans.items():
+        if not 0 <= m < k:
+            raise GameError(f"line {lineno}: state {m} outside 0..{k - 1}")
+        if s not in inputs:
+            raise GameError(f"line {lineno}: input {s!r} not on the inputs line")
     if set(labels) != set(range(k)):
         raise GameError("label lines must cover states 0..k-1 exactly")
     missing = [(m, s) for m in range(k) for s in inputs if (m, s) not in trans]
     if missing:
         raise GameError(f"missing trans line for {missing[0]}")
     label_row = tuple(labels[m] for m in range(k))
-    rows = tuple(tuple(trans[(m, s)] for s in inputs) for m in range(k))
-    return Transducer(tuple(outputs), tuple(inputs), label_row, rows, init)
+    rows = tuple(tuple(trans[(m, s)][0] for s in inputs) for m in range(k))
+    return Transducer(outputs, inputs, label_row, rows, init)
 
 
 def serialize_transducer(t: Transducer) -> str:

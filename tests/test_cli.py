@@ -58,6 +58,22 @@ def paradise_text():
     return serialize_game(g)
 
 
+def trap_text():
+    """Player 1 avoids the color-2 vertex v forever by playing b at u, so
+    this game is not live at k=1 and player 1 wins it."""
+    g = make_game(
+        "reachability", ("a", "b"), ("x",),
+        [("u", 1, 1), ("v", 2, 2), ("d1", 1, 1), ("d2", 2, 1)],
+        [
+            ("u", "a", "v"), ("u", "b", "d2"),
+            ("v", "x", "u"),
+            ("d1", "a", "d2"), ("d1", "b", "d2"), ("d2", "x", "d1"),
+        ],
+        "u",
+    )
+    return serialize_game(g)
+
+
 @pytest.fixture
 def game_file(tmp_path):
     p = tmp_path / "game.bg"
@@ -111,20 +127,11 @@ class TestCheckLive:
         assert "live" in capsys.readouterr().out
 
     def test_not_live_writes_witness(self, tmp_path, capsys):
-        g = make_game(
-            "reachability", ("a", "b"), ("x",),
-            [("u", 1, 1), ("v", 2, 2), ("d1", 1, 1), ("d2", 2, 1)],
-            [
-                ("u", "a", "v"), ("u", "b", "d2"),
-                ("v", "x", "u"),
-                ("d1", "a", "d2"), ("d1", "b", "d2"), ("d2", "x", "d1"),
-            ],
-            "u",
-        )
         p = tmp_path / "trap.bg"
-        p.write_text(serialize_game(g))
+        p.write_text(trap_text())
         w = tmp_path / "witness.tr"
         assert main(["check-live", str(p), "-k", "1", "--witness", str(w)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == "not live"
         text = w.read_text()
         assert "label 0 b" in text
         assert "# position:" in text
@@ -134,23 +141,20 @@ class TestCheckLive:
         assert machine.labels == ("b",)
 
     def test_input_error_exit_apart_from_not_live(self, tmp_path, capsys):
-        trap = make_game(
-            "reachability", ("a", "b"), ("x",),
-            [("u", 1, 1), ("v", 2, 2), ("d1", 1, 1), ("d2", 2, 1)],
-            [
-                ("u", "a", "v"), ("u", "b", "d2"),
-                ("v", "x", "u"),
-                ("d1", "a", "d2"), ("d1", "b", "d2"), ("d2", "x", "d1"),
-            ],
-            "u",
-        )
         good = tmp_path / "trap.bg"
-        good.write_text(serialize_game(trap))
+        good.write_text(trap_text())
         bad = tmp_path / "malformed.bg"
-        bad.write_text(serialize_game(trap).replace("init u", "init nowhere"))
+        bad.write_text(trap_text().replace("init u", "init nowhere"))
         assert main(["check-live", str(good), "-k", "1"]) == 1
         assert main(["check-live", str(bad), "-k", "1"]) == 4
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_symbol_is_an_input_error(self, tmp_path, capsys):
+        # `alphabet1 a a` used to count two machines where one exists
+        p = tmp_path / "twice.bg"
+        p.write_text(paradise_text().replace("alphabet1 a b", "alphabet1 a a"))
+        assert main(["check-live", str(p), "-k", "1"]) == 4
+        assert "duplicate action symbol 'a'" in capsys.readouterr().err
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.bg")]) == 3
@@ -180,21 +184,11 @@ class TestSolve:
 
     def test_belief_report_counts_settled_positions(self, tmp_path):
         # player 2 wins the paradise game's base game from the start, so
-        # every position is settled; the forcing game starts outside player
+        # every position is settled; the trap game starts outside player
         # 2's base winning region, and its 4 settled positions are the base
         # game's copy reached through the color-2 vertex v
-        forcing = make_game(
-            "reachability", ("a", "b"), ("x",),
-            [("u", 1, 1), ("v", 2, 2), ("d1", 1, 1), ("d2", 2, 1)],
-            [
-                ("u", "a", "v"), ("u", "b", "d2"),
-                ("v", "x", "u"),
-                ("d1", "a", "d2"), ("d1", "b", "d2"), ("d2", "x", "d1"),
-            ],
-            "u",
-        )
         stats = []
-        for text, code in ((paradise_text(), 0), (serialize_game(forcing), 1)):
+        for text, code in ((paradise_text(), 0), (trap_text(), 1)):
             game, rep = tmp_path / "g.bg", tmp_path / "r.json"
             game.write_text(text)
             argv = ["--deterministic", "--json-report", str(rep), "solve", str(game), "-k", "1"]
@@ -203,24 +197,11 @@ class TestSolve:
         assert stats[0] == {"positions": 2, "settled": 2}
         assert stats[1] == {"positions": 7, "settled": 4}
 
-    def test_live_method(self, game_file, capsys):
-        assert main(["solve", game_file, "-k", "1", "--method", "live"]) == 0
-
-    def test_live_method_on_not_live_game(self, tmp_path, capsys):
-        g = make_game(
-            "reachability", ("a", "b"), ("x",),
-            [("u", 1, 1), ("v", 2, 2), ("d1", 1, 1), ("d2", 2, 1)],
-            [
-                ("u", "a", "v"), ("u", "b", "d2"),
-                ("v", "x", "u"),
-                ("d1", "a", "d2"), ("d1", "b", "d2"), ("d2", "x", "d1"),
-            ],
-            "u",
-        )
-        p = tmp_path / "trap.bg"
-        p.write_text(serialize_game(g))
-        assert main(["solve", str(p), "-k", "1", "--method", "live"]) == 1
-        assert "not-live" in capsys.readouterr().out
+    def test_method_flag_is_gone(self, game_file, capsys):
+        # check-live gives the liveness verdict, with a witness
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve", game_file, "-k", "1", "--method", "live"])
+        assert exit_.value.code == 2
 
 
 class TestSimulate:
@@ -237,6 +218,16 @@ class TestSimulate:
         lines = trace_path.read_text().splitlines()
         assert lines[0].startswith("STEP 0 P1 a ")
         assert any("ordinal=" in ln and "|M'|=" in ln for ln in lines)
+
+    def test_negative_max_steps_is_an_input_error(self, game_file, tmp_path, capsys):
+        t = Transducer(("a", "b"), ("x", "y"), ("a",), ((0, 0),))
+        tp = tmp_path / "env.tr"
+        tp.write_text(serialize_transducer(t))
+        argv = ["simulate", game_file, "--env", str(tp), "--max-steps", "-5"]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "negative" in captured.err
+        assert "winner" not in captured.out
 
 
 class TestGen:
@@ -307,6 +298,13 @@ class TestEnumerate:
         assert main(["enumerate", "-k", "2", "--outputs", "a,b",
                      "--inputs", "x,y", "--count-only"]) == 0
         assert capsys.readouterr().out.strip().splitlines()[0] == "64"
+
+    def test_repeated_symbol_is_an_input_error(self, capsys):
+        assert main(["enumerate", "-k", "1", "--outputs", "a,a",
+                     "--inputs", "x", "--count-only"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "duplicate action symbol 'a'" in captured.err
 
     def test_dump_parses_back(self, tmp_path):
         out = tmp_path / "machines.txt"

@@ -96,6 +96,13 @@ class TestParse:
         with pytest.raises(ParseError, match="line 3"):
             parse_game("game parity\nalphabet1 a\nwhatisthis x\n")
 
+    def test_repeated_symbol_rejected(self):
+        bad = MINIMAL.replace("alphabet2 x", "alphabet2 x y x")
+        with pytest.raises(ParseError, match="line 3: duplicate action symbol 'x'"):
+            parse_game(bad)
+        with pytest.raises(GameError, match="duplicate action symbol 'a'"):
+            make_game("parity", ["a", "a"], ["x"], [("u", 1, 1)], [], "u")
+
 
 class TestSerialize:
     def test_deterministic_bytes(self):

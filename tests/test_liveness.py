@@ -305,12 +305,13 @@ class TestWordMembership:
         assert t == expected
 
     def test_long_word_search_result(self):
-        # above the enumeration cap the search's own machine is returned;
-        # pinned to the one the recursive search found, with a raised limit
+        # at k=3 there are 1,793,613,375 machines, above DEFAULT_CAP, so the
+        # search's own machine is returned; pinned to the one it found
         g, w = self._long_robot_word(5000)
-        t = word_in_Ak(w, 2, g.alphabet1, g.alphabet2, enumeration_cap=0)
+        assert count(3, g.alphabet1, g.alphabet2) > liveness.DEFAULT_CAP
+        t = word_in_Ak(w, 3, g.alphabet1, g.alphabet2)
         assert agrees(w, t)
-        assert canonical_ordinal(t) == 14464
+        assert canonical_ordinal(t) == 1004954931
 
 
 class TestCompletenessSample:

@@ -28,6 +28,7 @@ XY = ("x", "y")
 
 TOGGLE = Transducer(AB, ("x",), ("a", "b"), ((1,), (0,)))
 CONSTANT_A = Transducer(AB, XY, ("a",), ((0, 0),))
+TOGGLE2 = Transducer(AB, XY, ("a", "b"), ((1, 0), (0, 1)))
 
 
 def random_transducer(rng, k, outputs=AB, inputs=XY):
@@ -284,6 +285,28 @@ class TestFormat:
     def test_parse_errors(self):
         with pytest.raises(GameError):
             parse_transducer("transducer k=1\ninputs x\noutputs a\ninit 0\n")
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("label 1 a", "line 11: second label line for state 1"),
+            ("trans 0 y 0", "line 11: second trans line for state 0 input y"),
+            ("trans 7 x 0", "line 11: state 7 outside 0..1"),
+            ("trans 0 q 1", "line 11: input 'q' not on the inputs line"),
+        ],
+    )
+    def test_extra_lines_rejected(self, line, match):
+        # the machine is complete without the extra line; it used to win or
+        # be dropped
+        text = serialize_transducer(TOGGLE2) + line + "\n"
+        with pytest.raises(GameError, match=match):
+            parse_transducer(text)
+
+    @pytest.mark.parametrize("kind", ["inputs", "outputs"])
+    def test_repeated_symbol_rejected(self, kind):
+        text = serialize_transducer(TOGGLE2).replace(f"{kind} ", f"{kind} a a ")
+        with pytest.raises(GameError, match="duplicate action symbol 'a'"):
+            parse_transducer(text)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -203,6 +203,13 @@ class TestSolve:
             main(["solve", game_file, "-k", "1", "--method", "live"])
         assert exit_.value.code == 2
 
+    def test_live_method_on_not_live_game(self, tmp_path, capsys):
+        # the liveness verdict `solve --method live` gave now comes from check-live
+        p = tmp_path / "trap.bg"
+        p.write_text(trap_text())
+        assert main(["check-live", str(p), "-k", "1"]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == "not live"
+
 
 class TestSimulate:
     def test_trace_format(self, game_file, tmp_path, capsys):

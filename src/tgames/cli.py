@@ -374,6 +374,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = _Report(args.command, args)
     try:
+        if args.cap < 0:
+            raise GameError(f"--cap {args.cap} is negative")
         return args.func(args, report)
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

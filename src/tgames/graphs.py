@@ -214,46 +214,30 @@ def complete(g: GameGraph) -> GameGraph:
     Appends (when absent) one paradise pair per player and routes every
     missing (vertex, action) edge to the paradise of the acting player's
     opponent: a player skipping an action it has no listed move for
-    concedes the play.
+    concedes the play.  Vertex ids are kept.  `g` is trusted as built by
+    `make_game` or `parse_game` and is not re-checked; only a paradise
+    vertex it already declares is checked for its owner.
     """
-    names = [(v.name, v.owner, v.color) for v in g.vertices]
-    present = {v.name for v in g.vertices}
-    for (na, nb), color in ((P1_PARADISE, 1), (P2_PARADISE, 2)):
-        if na not in present:
-            names.append((na, 1, color))
-        if nb not in present:
-            names.append((nb, 2, color))
-    edges = [
-        (g.vertices[s].name, a, g.vertices[t].name) for (s, a), t in g.edges.items()
-    ]
-    have = {(s, a) for s, a, _ in edges}
-
-    def route(name: str, owner: int):
-        acting = g.alphabet1 if owner == 1 else g.alphabet2
-        # opponent's paradise; the target must be owned by the other player
-        pair = P2_PARADISE if owner == 1 else P1_PARADISE
-        tgt = pair[1] if owner == 1 else pair[0]
-        for a in acting:
-            if (name, a) not in have:
-                edges.append((name, a, tgt))
-                have.add((name, a))
-
-    for name, owner, _c in names:
-        if name in (P1_PARADISE[0], P1_PARADISE[1], P2_PARADISE[0], P2_PARADISE[1]):
-            continue
-        route(name, owner)
-    # paradise internals: absorbing two-cycles
-    for na, nb in (P1_PARADISE, P2_PARADISE):
-        for a in g.alphabet1:
-            if (na, a) not in have:
-                edges.append((na, a, nb))
-                have.add((na, a))
-        for b in g.alphabet2:
-            if (nb, b) not in have:
-                edges.append((nb, b, na))
-                have.add((nb, b))
-    init = g.vertices[g.initial].name
-    return make_game(g.objective, g.alphabet1, g.alphabet2, names, edges, init)
+    vertices = list(g.vertices)
+    for pair, color in ((P1_PARADISE, 1), (P2_PARADISE, 2)):
+        for owner, name in enumerate(pair, start=1):
+            if not g.has_vertex(name):
+                vertices.append(Vertex(len(vertices), name, owner, color))
+            elif g.vertex(name).owner != owner:
+                raise GameError(f"vertex {name!r} is reserved for player {owner}")
+    out = GameGraph(
+        g.objective, g.alphabet1, g.alphabet2, tuple(vertices), dict(g.edges), g.initial
+    )
+    p1a, p1b, p2a, p2b = (out.vertex(name).id for name in P1_PARADISE + P2_PARADISE)
+    # each paradise member moves to its partner; any other vertex concedes
+    # to the opponent's paradise member owned by the opponent
+    partner = {p1a: p1b, p1b: p1a, p2a: p2b, p2b: p2a}
+    concede = {1: p2b, 2: p1a}
+    for v in vertices:
+        tgt = partner.get(v.id, concede[v.owner])
+        for a in out.acting_alphabet(v.id):
+            out.edges.setdefault((v.id, a), tgt)
+    return out
 
 
 @dataclass(frozen=True)
@@ -302,9 +286,6 @@ class Lasso:
         return Word(
             tuple(a for _, a in self.prefix), tuple(a for _, a in self.cycle)
         )
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.prefix) + tuple(v for v, _ in self.cycle)
 
 
 def check_lasso(g: GameGraph, lasso: Lasso) -> None:

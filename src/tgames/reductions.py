@@ -122,20 +122,18 @@ def _ints(tokens: list[str], lineno: int, what: str) -> list[int]:
 
 def _read_dimacs(
     text: str,
-    comments: str,
     quantifier: Optional[Callable[[list[str], int], None]] = None,
     end: str = "",
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Variable count and clauses of a DIMACS text, checked against its
-    problem line.  Lines starting with a character of `comments` are
-    skipped, and a line starting with a character of `end` ends the text;
-    with a `quantifier`, each line starting with 'a' or 'e' goes to it as
-    (tokens, line number)."""
+    problem line.  Lines starting with 'c' are skipped, and a line starting
+    with a character of `end` ends the text; with a `quantifier`, each line
+    starting with 'a' or 'e' goes to it as (tokens, line number)."""
     problem = None
     clauses: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line[0] in comments:
+        if not line or line[0] == "c":
             continue
         if line[0] in end:
             break
@@ -161,7 +159,7 @@ def _read_dimacs(
 
 def parse_dimacs_cnf(text: str) -> CnfFormula:
     """DIMACS CNF; SATLIB's closing '%' line and what follows it are ignored."""
-    return CnfFormula(*_read_dimacs(text, "c", end="%"))
+    return CnfFormula(*_read_dimacs(text, end="%"))
 
 
 def parse_qdimacs(text: str) -> QbfFormula:
@@ -175,7 +173,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
             raise GameError(f"line {lineno}: quantifier blocks must bind one variable")
         prefix.append((tok[0], _ints(tok[1:2], lineno, "quantifier variable")[0]))
 
-    nvars, clauses = _read_dimacs(text, "c", quantifier)
+    nvars, clauses = _read_dimacs(text, quantifier)
     if nvars % 2 != 0 or len(prefix) != nvars:
         raise GameError("prefix must bind an even number of variables, one each")
     for i, (q, v) in enumerate(prefix, start=1):
@@ -199,9 +197,9 @@ def _qbf_symbols(k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return a1, a2
 
 
-def _lit_satisfied(clause: Sequence[int], var: int, value: bool) -> bool:
-    lit = var if value else -var
-    return lit in clause
+def _stage_vertex(prefix: str, pos: int, j: int, sat: bool) -> str:
+    """Name of position `pos` in stage j, clause j satisfied so far iff `sat`."""
+    return f"{prefix}{pos}_{j}_{'T' if sat else 'F'}"
 
 
 def qbf_to_game(psi: QbfFormula) -> GameGraph:
@@ -211,7 +209,8 @@ def qbf_to_game(psi: QbfFormula) -> GameGraph:
     pair).
 
     Layout per stage j (one per clause), positions p = 1..2k: odd p belongs
-    to player 1 assigning x_((p+1)/2), even p to player 2 assigning y_(p/2).
+    to player 1 assigning x_((p+1)/2), even p to player 2 assigning y_(p/2);
+    either way position p assigns variable p.
     Vertex ``v<p>_<j>_T|F`` records whether clause j is already satisfied by
     the assignments made so far in this stage.  The exit action `e` is an
     explicit edge to the player-1 paradise from every stage vertex player 1
@@ -227,83 +226,47 @@ def qbf_to_game(psi: QbfFormula) -> GameGraph:
     """
     k, r = psi.k, len(psi.clauses)
     a1, a2 = _qbf_symbols(k)
-    vertices: list[tuple[str, int, int]] = []
-    edges: list[tuple[str, str, str]] = []
-
-    vertices.append(("iota", 1, 1))
-    vertices.append(("n", 2, 1))
-    edges.append(("iota", "e", "n"))
+    pairs = ((f"{c}{i}", f"!{c}{i}") for i in range(1, k + 1) for c in "xy")
+    syms = dict(enumerate(pairs, start=1))  # position p -> symbols of variable p
+    vertices: list[tuple[str, int, int]] = [("iota", 1, 1), ("n", 2, 1)]
+    edges: list[tuple[str, str, str]] = [("iota", "e", "n")]
+    edges += [("n", b, "a1") for b in a2]
 
     # assignment warm-up chain: both polarities land on the same vertex
     for p in range(1, 2 * k + 1):
-        owner = 1 if p % 2 == 1 else 2
-        vertices.append((f"a{p}", owner, 1))
-    for b in a2:
-        edges.append(("n", b, "a1"))
-    for p in range(1, 2 * k):
-        var = (p + 1) // 2
-        syms = (f"x{var}", f"!x{var}") if p % 2 == 1 else (f"y{var}", f"!y{var}")
-        for s in syms:
-            edges.append((f"a{p}", s, f"a{p + 1}"))
-    for s in (f"y{k}", f"!y{k}"):
-        edges.append((f"a{2 * k}", s, f"v1_1_F"))
+        vertices.append((f"a{p}", 2 - p % 2, 1))
+        tgt = f"a{p + 1}" if p < 2 * k else "v1_1_F"
+        edges += [(f"a{p}", sym, tgt) for sym in syms[p]]
 
     # paradise pairs are declared up front so stage edges can target them
-    vertices.append((P1_PARADISE[0], 1, 1))
-    vertices.append((P1_PARADISE[1], 2, 1))
-    vertices.append((P2_PARADISE[0], 1, 2))
-    vertices.append((P2_PARADISE[1], 2, 2))
+    vertices += [(P1_PARADISE[0], 1, 1), (P1_PARADISE[1], 2, 1)]
+    vertices += [(P2_PARADISE[0], 1, 2), (P2_PARADISE[1], 2, 2)]
 
-    def vname(p: int, j: int, sat: bool) -> str:
-        return f"v{p}_{j}_{'T' if sat else 'F'}"
-
-    # stage construction: only superscripts reachable from a fresh clause
-    sups: dict[tuple[int, int], set[bool]] = {}
-    for j in range(1, r + 1):
-        cur = {False}
+    # stages: only the satisfied-flags reachable from a fresh clause
+    for j, clause in enumerate(psi.clauses, start=1):
+        flags = {False}
         for p in range(1, 2 * k + 1):
-            sups[(p, j)] = set(cur)
-            var_index = (p + 1) // 2
-            var = (
-                QbfFormula.x(var_index) if p % 2 == 1 else QbfFormula.y(var_index)
-            )
-            cur = {
-                s or _lit_satisfied(psi.clauses[j - 1], abs(var), b)
-                for s in cur
-                for b in (True, False)
-            }
-    for j in range(1, r + 1):
-        for p in range(1, 2 * k + 1):
-            owner = 1 if p % 2 == 1 else 2
-            for s in sorted(sups[(p, j)]):
-                vertices.append((vname(p, j, s), owner, 1))
-    vertices.append(("v1_loop", 1, 2))
-    for j in range(1, r + 1):
-        clause = psi.clauses[j - 1]
-        for p in range(1, 2 * k + 1):
-            var_index = (p + 1) // 2
-            base = f"x{var_index}" if p % 2 == 1 else f"y{var_index}"
-            varnum = (
-                QbfFormula.x(var_index) if p % 2 == 1 else QbfFormula.y(var_index)
-            )
-            for s in sorted(sups[(p, j)]):
-                src = vname(p, j, s)
-                for sym, value in ((base, True), (f"!{base}", False)):
-                    new = s or _lit_satisfied(clause, abs(varnum), value)
+            nxt = set()
+            for sat in sorted(flags):
+                src = _stage_vertex("v", p, j, sat)
+                vertices.append((src, 2 - p % 2, 1))
+                for sym, lit in zip(syms[p], (p, -p)):
+                    new = sat or lit in clause
+                    nxt.add(new)
                     if p < 2 * k:
-                        edges.append((src, sym, vname(p + 1, j, new)))
+                        edges.append((src, sym, _stage_vertex("v", p + 1, j, new)))
                     elif new:
-                        tgt = vname(1, j + 1, False) if j < r else "v1_loop"
+                        tgt = _stage_vertex("v", 1, j + 1, False) if j < r else "v1_loop"
                         edges.append((src, sym, tgt))
                     # an unsatisfied clause at the stage end stays unlisted:
                     # the completion rule sends it to the player-1 paradise
-            if p % 2 == 1 and not (p == 1 and j == 1):
-                for s in sorted(sups[(p, j)]):
-                    edges.append((vname(p, j, s), "e", P1_PARADISE[1]))
+                if p % 2 == 1 and (p, j) != (1, 1):
+                    edges.append((src, "e", P1_PARADISE[1]))
+            flags = nxt
     # the re-entry assigns x1 for clause 1 again, exit allowed
-    first = psi.clauses[0]
-    for sym, value in (("x1", True), ("!x1", False)):
-        edges.append(("v1_loop", sym, vname(2, 1, _lit_satisfied(first, 1, value))))
+    vertices.append(("v1_loop", 1, 2))
+    for sym, lit in zip(syms[1], (1, -1)):
+        edges.append(("v1_loop", sym, _stage_vertex("v", 2, 1, lit in psi.clauses[0])))
     edges.append(("v1_loop", "e", P1_PARADISE[1]))
 
     g = make_game(BUCHI, a1, a2, vertices, edges, "iota")
@@ -334,62 +297,34 @@ def cnf_to_game(phi: CnfFormula) -> GameGraph:
     k, r = phi.k, len(phi.clauses)
     a1, a2 = _cnf_symbols(k)
     vertices: list[tuple[str, int, int]] = [("iota", 1, 1)]
+    vertices += [(P1_PARADISE[0], 1, 1), (P1_PARADISE[1], 2, 1)]
+    vertices += [(P2_PARADISE[0], 1, 2), (P2_PARADISE[1], 2, 2)]
     edges: list[tuple[str, str, str]] = []
 
-    vertices.append((P1_PARADISE[0], 1, 1))
-    vertices.append((P1_PARADISE[1], 2, 1))
-    vertices.append((P2_PARADISE[0], 1, 2))
-    vertices.append((P2_PARADISE[1], 2, 2))
+    def assign(src: str, i: int, j: int, sat: bool) -> None:
+        """Player 1 assigns x_i of clause j from `src`, the clause satisfied
+        so far iff `sat`."""
+        for sym, lit in ((f"T{i}", i), (f"F{i}", -i)):
+            new = sat or lit in phi.clauses[j - 1]
+            edges.append((src, sym, _stage_vertex("x", i, j, new)))
 
-    sups: dict[tuple[int, int], set[bool]] = {}
-    for j in range(1, r + 1):
-        cur = {False}
+    assign("iota", 1, 1, False)
+    for j, clause in enumerate(phi.clauses, start=1):
+        flags = {False}
         for i in range(1, k + 1):
-            cur = {
-                s or _lit_satisfied(phi.clauses[j - 1], i, b)
-                for s in cur
-                for b in (True, False)
-            }
-            sups[(i, j)] = set(cur)
-
-    def xname(i: int, j: int, s: bool) -> str:
-        return f"x{i}_{j}_{'T' if s else 'F'}"
-
-    def yname(i: int, j: int, s: bool) -> str:
-        return f"y{i}_{j}_{'T' if s else 'F'}"
-
-    for j in range(1, r + 1):
-        for i in range(1, k + 1):
-            for s in sorted(sups[(i, j)]):
-                vertices.append((xname(i, j, s), 2, 1))
-                vertices.append((yname(i, j, s), 1, 1))
-
-    def entry_edges(src: str, j: int):
-        """Player 1 assigns x_1 of clause j from `src`."""
-        clause = phi.clauses[j - 1]
-        for value, sym in ((True, "T1"), (False, "F1")):
-            edges.append((src, sym, xname(1, j, _lit_satisfied(clause, 1, value))))
-
-    entry_edges("iota", 1)
-    for j in range(1, r + 1):
-        clause = phi.clauses[j - 1]
-        for i in range(1, k + 1):
-            for s in sorted(sups[(i, j)]):
-                edges.append((xname(i, j, s), "eps", yname(i, j, s)))
-                src = yname(i, j, s)
+            flags = {sat or lit in clause for sat in flags for lit in (i, -i)}
+            for sat in sorted(flags):
+                x, y = _stage_vertex("x", i, j, sat), _stage_vertex("y", i, j, sat)
+                vertices += [(x, 2, 1), (y, 1, 1)]
+                edges.append((x, "eps", y))
                 if i < k:
-                    for value, sym in ((True, f"T{i + 1}"), (False, f"F{i + 1}")):
-                        new = s or _lit_satisfied(clause, i + 1, value)
-                        edges.append((src, sym, xname(i + 1, j, new)))
-                else:
-                    if s:
-                        if j < r:
-                            entry_edges(src, j + 1)
-                        else:
-                            for sym in a1:
-                                edges.append((src, sym, P1_PARADISE[1]))
-                    # an unsatisfied finished clause keeps no explicit edges:
-                    # completion routes every action to the player-2 paradise
+                    assign(y, i + 1, j, sat)
+                elif sat and j < r:
+                    assign(y, 1, j + 1, False)
+                elif sat:
+                    edges += [(y, sym, P1_PARADISE[1]) for sym in a1]
+                # an unsatisfied finished clause keeps no explicit edges:
+                # completion routes every action to the player-2 paradise
 
     g = make_game(REACHABILITY, a1, a2, vertices, edges, "iota")
     return complete(g)
@@ -517,13 +452,11 @@ def optimal_y_chooser(psi: QbfFormula) -> Callable:
     return choose
 
 
-def counter_transducer(
-    psi: QbfFormula, strategy_chooser: Optional[Callable] = None
-) -> tuple[Transducer, dict[int, bool]]:
-    """The (k+1)-state machine built against a concrete player-2 strategy
-    for an invalid formula: state 0 plays the exit move, state i plays the
-    value of x_i realized against that strategy; any reply other than the
-    remembered y_i snaps back to the exit state.
+def counter_transducer(psi: QbfFormula) -> tuple[Transducer, dict[int, bool]]:
+    """The (k+1)-state machine built against the `optimal_y_chooser`
+    player-2 strategy for an invalid formula: state 0 plays the exit move,
+    state i plays the value of x_i realized against that strategy; any
+    reply other than the remembered y_i snaps back to the exit state.
 
     When some constant assignment falsifies a clause that has no y
     literals, the machine instead plays that assignment obliviously (no
@@ -560,8 +493,8 @@ def counter_transducer(
             ):
                 return machine(xvals, None), xvals
 
-    # adaptive route: realize the falsifying play against the given strategy
-    chooser = strategy_chooser or optimal_y_chooser(psi)
+    # adaptive route: realize the falsifying play against that strategy
+    chooser = optimal_y_chooser(psi)
     assignment: dict[int, bool] = {}
     for i in range(1, k + 1):
         # a value of x_i that keeps the formula falsifiable, which exists

@@ -398,11 +398,16 @@ def dedupe_behavioral(stream: Iterable[Transducer]) -> Iterator[Transducer]:
             yield t
 
 
+# directive -> argument count (0: one or more); only label and trans repeat
+_DIRECTIVE_ARGS = {"transducer": 1, "inputs": 0, "outputs": 0, "init": 1, "label": 2, "trans": 3}
+
+
 def parse_transducer(text: str) -> Transducer:
     k = None
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     init = 0
+    seen: set[str] = set()
     labels: dict[int, str] = {}
     trans: dict[tuple[int, str], tuple[int, int]] = {}  # -> (target, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -411,34 +416,36 @@ def parse_transducer(text: str) -> Transducer:
             continue
         tok = line.split()
         kind, args = tok[0], tok[1:]
+        if kind not in _DIRECTIVE_ARGS:
+            raise GameError(f"line {lineno}: unknown directive {kind!r}")
+        nargs = _DIRECTIVE_ARGS[kind]
+        malformed = not args or (nargs and len(args) != nargs)
+        if malformed or (kind == "transducer" and not args[0].startswith("k=")):
+            raise GameError(f"line {lineno}: malformed {kind} line")
+        if kind in seen:
+            raise GameError(f"line {lineno}: second {kind} line")
+        if kind not in ("label", "trans"):
+            seen.add(kind)
         try:
             if kind == "transducer":
-                assert len(args) == 1 and args[0].startswith("k=")
                 k = int(args[0][2:])
             elif kind == "inputs":
-                assert args
                 inputs = check_alphabet(args)
             elif kind == "outputs":
-                assert args
                 outputs = check_alphabet(args)
             elif kind == "init":
-                assert len(args) == 1
                 init = int(args[0])
             elif kind == "label":
-                assert len(args) == 2
                 m = int(args[0])
                 if m in labels:
                     raise GameError(f"second label line for state {m}")
                 labels[m] = args[1]
-            elif kind == "trans":
-                assert len(args) == 3
+            else:
                 m, b = int(args[0]), args[1]
                 if (m, b) in trans:
                     raise GameError(f"second trans line for state {m} input {b}")
                 trans[(m, b)] = (int(args[2]), lineno)
-            else:
-                raise GameError(f"unknown directive {kind!r}")
-        except (AssertionError, ValueError):
+        except ValueError:
             raise GameError(f"line {lineno}: malformed {kind} line") from None
         except GameError as e:
             raise GameError(f"line {lineno}: {e}") from None

@@ -51,3 +51,12 @@ def test_no_module_changes_the_recursion_limit():
         names = {getattr(node, "attr", getattr(node, "id", None)) for node in nodes}
         names |= {node.name for node in nodes if isinstance(node, ast.alias)}
         assert "setrecursionlimit" not in names, path.name
+
+
+def test_no_module_asserts():
+    """`python -O` strips assert statements, so every check on input in the
+    package must raise instead."""
+    package = TRACING.parent.parent / "src" / "tgames"
+    for path in sorted(package.glob("*.py")):
+        nodes = ast.walk(ast.parse(path.read_text()))
+        assert not any(isinstance(node, ast.Assert) for node in nodes), path.name

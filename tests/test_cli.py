@@ -162,6 +162,14 @@ class TestCheckLive:
     def test_cap_exit_two(self, game_file):
         assert main(["--cap", "5", "check-live", game_file, "-k", "2"]) == 2
 
+    def test_negative_cap_is_an_input_error(self, game_file, capsys):
+        # it used to print "undecided: 5 machines exceed cap -1" and exit 2
+        assert main(["--cap", "-1", "check-live", game_file, "-k", "1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "error: --cap -1 is negative" in captured.err
+        assert "undecided" not in captured.out
+        assert main(["--cap", "0", "check-live", game_file, "-k", "1"]) == 2
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

@@ -14,12 +14,15 @@ import pytest
 
 from tgames import (
     CnfFormula,
+    QbfFormula,
     adaptive_controller,
     build_product,
     check_k_live,
     cnf_to_game,
+    complete,
     count,
     from_ordinal,
+    make_game,
     p2_winning_positions,
     qbf_to_game,
     reachable_positions,
@@ -145,6 +148,53 @@ def criterion_2a_answers():
         yield sorted(sol.strategy1.items()), sorted(sol.strategy2.items())
 
 
+def _clauses(rng, nvars, count, width):
+    """`count` random clauses of 1..`width` distinct literals over 1..nvars."""
+    lits = [s * v for v in range(1, nvars + 1) for s in (1, -1)]
+    return tuple(
+        tuple(rng.sample(lits, rng.randrange(1, min(width, len(lits)) + 1)))
+        for _ in range(count)
+    )
+
+
+def partial_arenas():
+    """Seeded arenas with about 40% of their edges dropped; every fourth one
+    already declares `~p2_paradise_b` with an edge out of it."""
+    rng = random.Random("golden-partial")
+    for i in range(300):
+        objective = OBJECTIVES[i % 3]
+        g = random_game(rng, rng.randrange(1, 5), rng.randrange(1, 5), AB, XY, objective)
+        vertices = [(v.name, v.owner, v.color) for v in g.vertices]
+        names = [v.name for v in g.vertices]
+        edges = [(names[s], a, names[t]) for (s, a), t in g.edges.items() if rng.random() < 0.6]
+        if i % 4 == 3:
+            vertices.append(("~p2_paradise_b", 2, 2))
+            edges.append(("~p2_paradise_b", "y", "u0"))
+        yield make_game(objective, AB, XY, vertices, edges, "u0")
+
+
+def family_answers():
+    """Every vertex and edge the generators and `complete` emit, in
+    declaration order: names and ids reach `ReplayStrategy`, witnesses and
+    pins, so a rewrite of a builder must keep them exactly."""
+    rng = random.Random("golden-families")
+    games = [qbf_to_game(psi) for psi in one_pair_formulas()]
+    for _ in range(300):
+        k = rng.randrange(1, 4)
+        games.append(qbf_to_game(QbfFormula(k, _clauses(rng, 2 * k, rng.randrange(1, 5), 4))))
+    for _ in range(400):
+        k = rng.randrange(1, 5)
+        games.append(cnf_to_game(CnfFormula(k, _clauses(rng, k, rng.randrange(1, 6), 3))))
+    games += [robot_scenario(lanes) for lanes in (2, 3, 4)]
+    for g in partial_arenas():
+        once = complete(g)
+        assert complete(once) == once
+        games.append(once)
+    for g in games:
+        yield serialize_game(g)
+        yield sorted(g.edges.items())
+
+
 def cli_answers(tmp_path):
     rng = random.Random("golden-cli")
     for i, g in enumerate(arenas()):
@@ -163,6 +213,8 @@ def cli_answers(tmp_path):
 # `bounded` and `criterion_2a` were re-pinned when the knowledge game began
 # settling play on player 2's base winning region: positions and strategies
 # changed, and `bounded_verdicts`, recorded before that, pins the answers.
+# `families` was recorded before the generators declared each clause stage
+# in one pass and before `complete` worked on vertex ids.
 PINNED = {
     "products": "97fd675361d8eebba53db2ba8ae03baa82264306c8bad8bffdd9f3d6a4e9d8ba",
     "liveness": "0972491d0baf66078463d2135c720e9a8d93ef97fc4c895e7dca7964469b3305",
@@ -171,6 +223,7 @@ PINNED = {
     "traces": "2d25d038195f3c3eaf2197cbc88184977bbd04a4d733546a6047bbecf9625270",
     "traces_not_live": "77bd9bca20417ee76e8545cfaefc8158b457a0cedbc42462f951c40eeeaf5150",
     "criterion_2a": "aee779f5e873bc08d558c94934e2c6a6f0789ed5d484ba42de9899a1e8b4d5e3",
+    "families": "bd7b396141c75c73fcb3500b3bb49ce68e48b102779dd5aa4b8a4dd80eaaaad0",
 }
 
 
@@ -184,6 +237,7 @@ PINNED = {
         ("traces", trace_answers),
         ("traces_not_live", not_live_trace_answers),
         ("criterion_2a", criterion_2a_answers),
+        ("families", family_answers),
     ],
 )
 def test_answers_pinned(section, answers):

@@ -250,6 +250,18 @@ class TestComplete:
         twice = complete(once)
         assert serialize_game(once) == serialize_game(twice)
 
+    def test_reserved_vertex_with_wrong_owner_rejected(self):
+        g = make_game(
+            "parity",
+            ["a"],
+            ["a"],
+            [("u", 1, 1), ("v", 2, 2), ("~p1_paradise_a", 2, 1)],
+            [("u", "a", "v"), ("v", "a", "u")],
+            "u",
+        )
+        with pytest.raises(GameError, match="reserved for player 1"):
+            complete(g)
+
     def test_empty_alphabet_rejected(self):
         with pytest.raises(GameError):
             make_game("parity", [], ["x"], [("u", 1, 1)], [], "u")

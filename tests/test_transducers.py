@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +304,46 @@ class TestFormat:
         text = serialize_transducer(TOGGLE2) + line + "\n"
         with pytest.raises(GameError, match=match):
             parse_transducer(text)
+
+    @pytest.mark.parametrize(
+        "line", ["transducer k=2", "inputs x y", "outputs a b", "init 1"]
+    )
+    def test_second_header_line_rejected(self, line):
+        # a second init line used to win: appending `init 1` gave initial 1
+        text = serialize_transducer(TOGGLE2) + line + "\n"
+        kind = line.split()[0]
+        with pytest.raises(GameError, match=f"line 11: second {kind} line"):
+            parse_transducer(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["label 0", "trans 0 x", "init", "init 0 1", "transducer 2", "inputs"],
+    )
+    def test_malformed_line_rejected(self, line):
+        # these shapes were asserted, so `python -O` let `label 0` through to
+        # an IndexError
+        text = line + "\n" + serialize_transducer(TOGGLE2)
+        kind = line.split()[0]
+        with pytest.raises(GameError, match=f"line 1: malformed {kind} line"):
+            parse_transducer(text)
+
+    def test_malformed_line_rejected_under_optimize(self, tmp_path):
+        path = tmp_path / "bad.tr"
+        path.write_text(serialize_transducer(TOGGLE2).replace("label 0 a", "label 0"))
+        code = (
+            "import sys\n"
+            "from tgames import GameError, parse_transducer\n"
+            "try:\n"
+            "    parse_transducer(open(sys.argv[1]).read())\n"
+            "except GameError as e:\n"
+            "    print(e)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code, str(path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout == "line 5: malformed label line\n"
 
     @pytest.mark.parametrize("kind", ["inputs", "outputs"])
     def test_repeated_symbol_rejected(self, kind):
